@@ -15,8 +15,20 @@
 //!
 //! The parser is a recursive-descent scanner over bytes with a nesting
 //! depth limit (a hostile request must exhaust the depth budget, not the
-//! stack) and byte-offset error reporting.
+//! stack), the RFC 8259 number grammar, and byte-offset error reporting.
+//!
+//! The same scanner also drives typed decoding. Inside the crate,
+//! `parse_with` offers each member of a top-level object to a hook with a
+//! borrowed `Cursor` on its value: escape-free strings are borrowed from
+//! the input rather than copied, numbers go through the one number
+//! scanner, and members the decoder ignores are validated and skipped
+//! without building anything. A hook that does not take a member leaves
+//! it to the tree parser, so the grammar, the depth limit and every error
+//! offset stay those of [`parse`]. The request decoder in
+//! [`crate::protocol`] uses it to turn a `scenarios` sweep straight into
+//! typed scenarios.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts.
@@ -205,28 +217,128 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// [`JsonError`] with a byte offset on any syntax violation, nesting
+/// [`JsonError`] with a byte offset on any syntax violation (numbers
+/// follow the RFC 8259 grammar: no leading zeros, no bare `.`), nesting
 /// beyond the depth limit, or trailing garbage.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.finish()?;
     Ok(value)
 }
 
+/// Parses like [`parse`], but first offers each member of a top-level
+/// object to `hook` with a [`Cursor`] on the member's value. A hook that
+/// decodes the value itself returns `true`, and the member is left out of
+/// the tree; one that returns `false` — whether it declined, met a shape
+/// it does not handle, or met a syntax error — has the member rewound and
+/// parsed into the tree as usual. Errors, offsets and the tree's other
+/// members are therefore exactly those of [`parse`].
+pub(crate) fn parse_with<'a>(
+    input: &'a str,
+    mut hook: impl FnMut(&str, Cursor<'a, '_>) -> bool,
+) -> Result<Json, JsonError> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let value = if p.peek() == Some(b'{') {
+        let mut members = Vec::new();
+        p.members(|p, key| {
+            let mark = p.pos;
+            if !hook(&key, Cursor { p, depth: 1 }) {
+                p.pos = mark;
+                let value = p.value(1)?;
+                members.push((key.into_owned(), value));
+            }
+            Ok::<(), JsonError>(())
+        })?;
+        Json::Obj(members)
+    } else {
+        p.value(0)?
+    };
+    p.finish()?;
+    Ok(value)
+}
+
+/// A borrowed cursor on one value of the input, for decoders that convert
+/// JSON straight into typed values instead of building a [`Json`] tree.
+/// Every method runs the tree parser's own scanner, so the grammar, the
+/// depth limit and the error offsets are the same. Methods consume the
+/// cursor: one value is read once.
+pub(crate) struct Cursor<'a, 'p> {
+    p: &'p mut Parser<'a>,
+    /// Nesting depth of the value under the cursor.
+    depth: usize,
+}
+
+impl<'a> Cursor<'a, '_> {
+    /// The value's first byte, which names its kind (`"`, `[`, `{`, `-` or
+    /// a digit, …), without consuming it.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.p.peek()
+    }
+
+    fn enter(&self) -> Result<(), JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.p.err("nesting too deep"));
+        }
+        Ok(())
+    }
+
+    /// Reads a string, borrowed from the input when it has no escapes.
+    pub(crate) fn str(self) -> Result<Cow<'a, str>, JsonError> {
+        self.enter()?;
+        self.p.string()
+    }
+
+    /// Reads a number.
+    pub(crate) fn num(self) -> Result<f64, JsonError> {
+        self.enter()?;
+        self.p.number()
+    }
+
+    /// Validates the value and skips it without building anything.
+    pub(crate) fn skip(self) -> Result<(), JsonError> {
+        self.p.skip(self.depth)
+    }
+
+    /// Walks an array, handing `each` a cursor on every element in turn.
+    pub(crate) fn array<E: From<JsonError>>(
+        self,
+        mut each: impl FnMut(Cursor<'a, '_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.enter()?;
+        let depth = self.depth + 1;
+        self.p.seq(|p| each(Cursor { p, depth }))
+    }
+
+    /// Walks an object, handing `each` every key (borrowed when escape-free)
+    /// and a cursor on its value, in member order.
+    pub(crate) fn object<E: From<JsonError>>(
+        self,
+        mut each: impl FnMut(Cow<'a, str>, Cursor<'a, '_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.enter()?;
+        let depth = self.depth + 1;
+        self.p.members(|p, key| each(key, Cursor { p, depth }))
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, detail: impl Into<String>) -> JsonError {
         JsonError {
             detail: detail.into(),
@@ -242,6 +354,15 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Only whitespace may follow the document's value.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
@@ -270,45 +391,78 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq(|p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.members(|p, key| {
+                    let value = p.value(depth + 1)?;
+                    members.push((key.into_owned(), value));
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Validates one value like [`Parser::value`] (same errors, same
+    /// offsets) without building it.
+    fn skip(&mut self, depth: usize) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'"') if depth <= MAX_DEPTH => self.string().map(drop),
+            Some(b'[') if depth <= MAX_DEPTH => self.seq(|p| p.skip(depth + 1)),
+            Some(b'{') if depth <= MAX_DEPTH => self.members(|p, _| p.skip(depth + 1)),
+            _ => self.value(depth).map(drop),
+        }
+    }
+
+    /// Walks an array; `each` reads one element from the cursor position.
+    fn seq<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            each(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+                _ => return Err(self.err("expected `,` or `]` in array").into()),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Walks an object; `each` gets the decoded key and reads its value
+    /// from the cursor position.
+    fn members<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.expect(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -316,29 +470,52 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
+            each(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected `,` or `}` in object")),
+                _ => return Err(self.err("expected `,` or `}` in object").into()),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advances over a run of unescaped string bytes and returns it. A run
+    /// only stops at ASCII bytes (`"`, `\`, controls) or the end of input,
+    /// never inside a multi-byte sequence, so both ends are char
+    /// boundaries of the input `&str`.
+    fn run(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        while let Some(c) = self.peek() {
+            if c == b'"' || c == b'\\' || c < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8"))
+    }
+
+    /// Reads a string. An escape-free string is borrowed from the input;
+    /// one with escapes is decoded into an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let head = self.run()?;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(head));
+        }
+        let mut out = String::from(head);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -386,23 +563,7 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume the maximal run of unescaped bytes in one
-                    // slice. A run only stops at ASCII bytes (`"`, `\`,
-                    // controls), never inside a multi-byte sequence, so
-                    // both ends are char boundaries and the slice is
-                    // valid UTF-8 (the input arrived as a `&str`).
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                }
+                Some(_) => out.push_str(self.run()?),
             }
         }
     }
@@ -424,32 +585,45 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Advances over decimal digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Reads a number in the RFC 8259 grammar: `-? (0 | [1-9][0-9]*)
+    /// (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. The whole lexeme is scanned
+    /// first, so a violation (`01`, `1.`, `-.5`, `1.e5`) reports the
+    /// lexeme at its start.
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        let mut valid = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let v: f64 = text.parse().map_err(|_| JsonError {
+        let text = &self.text[start..self.pos];
+        let parsed = if valid {
+            text.parse::<f64>().ok()
+        } else {
+            None
+        };
+        let v = parsed.ok_or_else(|| JsonError {
             detail: format!("invalid number `{text}`"),
             at: start,
         })?;
@@ -459,7 +633,7 @@ impl Parser<'_> {
                 at: start,
             });
         }
-        Ok(Json::Num(v))
+        Ok(v)
     }
 }
 
@@ -542,8 +716,105 @@ mod tests {
             "\"\\ud800 unpaired\"",
             "[1] trailing",
             "1e999",
+            // RFC 8259 number grammar: no leading zeros, digits on both
+            // sides of a decimal point, digits in an exponent.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            ".5",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            "+1",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn number_grammar_errors_name_the_lexeme_at_its_start() {
+        let err = parse("[1,01]").unwrap_err();
+        assert_eq!(err.to_string(), "invalid number `01` at byte 3");
+        let err = parse("{\"a\":-.5}").unwrap_err();
+        assert_eq!(err.to_string(), "invalid number `-.5` at byte 5");
+        for good in ["0", "-0", "0.5", "-0.5e-3", "1E5", "10", "1e+2", "90.0"] {
+            assert!(parse(good).is_ok(), "{good:?} should parse");
+        }
+    }
+
+    /// A hook that reads every top-level `n` member as a number through the
+    /// cursor, declining anything else.
+    fn parse_taking_n(input: &str) -> (Result<Json, JsonError>, Vec<f64>) {
+        let mut taken = Vec::new();
+        let tree = parse_with(input, |key, value| {
+            if key != "n" || !matches!(value.peek(), Some(b'-' | b'0'..=b'9')) {
+                return false;
+            }
+            value.num().map(|v| taken.push(v)).is_ok()
+        });
+        (tree, taken)
+    }
+
+    #[test]
+    fn parse_with_leaves_consumed_members_out_and_rewinds_the_rest() {
+        let (tree, taken) = parse_taking_n(r#"{"a":1,"n":2.5,"b":[true],"n":"x"}"#);
+        assert_eq!(taken, [2.5]);
+        assert_eq!(
+            tree.unwrap(),
+            parse(r#"{"a":1,"b":[true],"n":"x"}"#).unwrap()
+        );
+        // A number the hook rejects is rewound and reported by the tree
+        // parser, at the same offset `parse` gives.
+        for input in [
+            r#"{"n":01}"#,
+            r#"{"n":1e999}"#,
+            r#"{"n":2,"a":[1,}"#,
+            "[1,2]",
+            "7",
+        ] {
+            assert_eq!(parse_taking_n(input).0, parse(input), "{input}");
+        }
+    }
+
+    #[test]
+    fn cursor_borrows_escape_free_strings_and_skips_with_tree_errors() {
+        let mut seen = Vec::new();
+        let tree = parse_with(
+            r#"{"s":"plain","t":"esc\u0041ped","u":{"x":[1,{"y":null}]}}"#,
+            |key, value| match key {
+                "s" | "t" => match value.str() {
+                    Ok(s) => {
+                        seen.push((s.to_string(), matches!(s, Cow::Borrowed(_))));
+                        true
+                    }
+                    Err(_) => false,
+                },
+                _ => value.skip().is_ok(),
+            },
+        );
+        assert_eq!(tree.unwrap(), Json::Obj(Vec::new()));
+        assert_eq!(
+            seen,
+            [("plain".to_owned(), true), ("escAped".to_owned(), false)]
+        );
+        // Skipping enforces the depth limit and the grammar exactly as the
+        // tree parser does.
+        let deep = format!("{{\"u\":{}{}}}", "[".repeat(100), "]".repeat(100));
+        for input in [deep.as_str(), r#"{"u":[1,01]}"#, r#"{"u":{"a" 1}}"#] {
+            let mut skipped = None;
+            let tree = parse_with(input, |_, value| {
+                skipped = Some(value.skip());
+                false
+            });
+            assert_eq!(tree, parse(input), "{input}");
+            assert_eq!(
+                skipped.unwrap().unwrap_err(),
+                parse(input).unwrap_err(),
+                "{input}"
+            );
         }
     }
 

@@ -22,6 +22,21 @@
 //!
 //! `u64` content hashes travel as 16-digit hex strings (JSON numbers are
 //! doubles and cannot carry 64 bits).
+//!
+//! The server decodes each line once with [`decode_request`]: the
+//! envelope and body parse into a [`Json`] tree as in [`parse_request`],
+//! except the top-level `scenarios` member, which decodes straight into
+//! `Vec<Scenario>` — a 1,000-scenario sweep no longer builds and drops a
+//! tree of several heap objects per scenario. The decoder follows
+//! `Json::get` semantics (the first duplicate key wins, unknown members
+//! are ignored but still validated). Any shape it does not accept is
+//! rewound and parsed as a tree, so [`parse_scenarios`] stays the only
+//! source of scenario errors and their precedence is unchanged: JSON
+//! syntax, then model binding, then scenario shape. [`parse_request`] and
+//! the `parse_*` extractors remain the public tree API for clients,
+//! tools and the fleet router.
+
+use std::borrow::Cow;
 
 use hmdiv_core::cohort::CohortMember;
 use hmdiv_core::extrapolate::Scenario;
@@ -32,7 +47,7 @@ use hmdiv_core::{
 use hmdiv_prob::Probability;
 
 use crate::error::ServeError;
-use crate::json::{self, Json};
+use crate::json::{self, Cursor, Json};
 
 /// One framing event from the [`LineReader`]: a complete request line, or
 /// a typed framing fault the connection can survive.
@@ -59,8 +74,11 @@ pub enum LineEvent {
 /// The reader is **resumable**: bytes can arrive one at a time (slow
 /// clients, split TCP segments, UTF-8 sequences cut mid-codepoint) and
 /// partial-line state carries across [`push`](LineReader::push) calls.
-/// Scanning is incremental — each buffered byte is inspected once, so a
-/// trickled 1 MiB line costs O(n), not O(n²).
+/// Framing is linear — each buffered byte is scanned for `\n` once, and
+/// framed lines are only marked consumed, then compacted away once per
+/// push — so a trickled 1 MiB line and k lines arriving in one read both
+/// cost O(bytes), not O(n²) or O(k × bytes). The events are the same
+/// however the stream is split into pushes.
 ///
 /// Over-limit lines do not poison the stream: the reader reports
 /// [`LineEvent::TooLong`] once and silently discards bytes until the next
@@ -70,6 +88,8 @@ pub enum LineEvent {
 pub struct LineReader {
     buf: Vec<u8>,
     limit: usize,
+    /// Bytes of `buf` before this index are framed already.
+    start: usize,
     /// Index into `buf` up to which we already scanned for `\n`.
     scanned: usize,
     /// Discarding an over-limit line until the next newline.
@@ -83,13 +103,19 @@ impl LineReader {
         LineReader {
             buf: Vec::new(),
             limit,
+            start: 0,
             scanned: 0,
             resync: false,
         }
     }
 
-    /// Appends raw socket bytes.
+    /// Appends raw socket bytes, first dropping the lines already framed.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -97,7 +123,20 @@ impl LineReader {
     /// resync mode).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
+    }
+
+    /// Marks `buf[..end]` framed; an empty remainder frees the buffer at
+    /// once.
+    fn consume(&mut self, end: usize) {
+        if end == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+            self.scanned = 0;
+        } else {
+            self.start = end;
+            self.scanned = end;
+        }
     }
 
     /// Pops the next framing event, or `None` if more bytes are needed.
@@ -112,45 +151,39 @@ impl LineReader {
                     Some(pos) => {
                         // The over-limit line ends here; drop it and
                         // resume normal framing on what follows.
-                        self.buf.drain(..=pos);
-                        self.scanned = 0;
+                        self.consume(pos + 1);
                         self.resync = false;
                         continue;
                     }
                     None => {
                         // Still inside the oversized line: every buffered
                         // byte is garbage. Memory stays flat.
-                        self.buf.clear();
-                        self.scanned = 0;
+                        self.consume(self.buf.len());
                         return None;
                     }
                 }
             }
             return match newline {
-                Some(pos) if pos > self.limit => {
+                Some(pos) if pos - self.start > self.limit => {
                     // Terminated but too long: framing survives, the
                     // payload does not.
-                    self.buf.drain(..=pos);
-                    self.scanned = 0;
+                    self.consume(pos + 1);
                     Some(LineEvent::TooLong { limit: self.limit })
                 }
                 Some(pos) => {
-                    let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    self.scanned = 0;
-                    line.pop(); // the \n
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    match String::from_utf8(line) {
-                        Ok(text) => Some(LineEvent::Line(text)),
-                        Err(_) => Some(LineEvent::InvalidUtf8),
-                    }
+                    let line = &self.buf[self.start..pos];
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    let event = match std::str::from_utf8(line) {
+                        Ok(text) => LineEvent::Line(text.to_owned()),
+                        Err(_) => LineEvent::InvalidUtf8,
+                    };
+                    self.consume(pos + 1);
+                    Some(event)
                 }
-                None if self.buf.len() > self.limit => {
+                None if self.buffered() > self.limit => {
                     // Provably oversized before the terminator arrived:
                     // report once, then discard until the next newline.
-                    self.buf.clear();
-                    self.scanned = 0;
+                    self.consume(self.buf.len());
                     self.resync = true;
                     Some(LineEvent::TooLong { limit: self.limit })
                 }
@@ -189,9 +222,78 @@ pub struct Envelope {
 ///   `verb`, `deadline_ms` is present but not a whole number, or
 ///   `trace_id` is present but not a hex-u64 string.
 pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
-    let body = json::parse(line).map_err(|e| ServeError::Parse {
+    envelope(json::parse(line).map_err(parse_error)?)
+}
+
+/// A request decoded in one pass by [`decode_request`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// The envelope. When [`Request::scenarios`] is `Some`, the body lacks
+    /// the `scenarios` member the list was decoded from.
+    pub envelope: Envelope,
+    /// The body's `scenarios` list, decoded without building a tree —
+    /// present only when the member has a shape [`parse_scenarios`]
+    /// accepts.
+    pub scenarios: Option<Vec<Scenario>>,
+}
+
+impl Request {
+    /// The `scenarios` list: the typed decode when there is one, else
+    /// [`parse_scenarios`] over the body, which stays the only source of
+    /// scenario errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse_scenarios`].
+    pub fn take_scenarios(&mut self) -> Result<Vec<Scenario>, ServeError> {
+        match self.scenarios.take() {
+            Some(list) => Ok(list),
+            None => parse_scenarios(&self.envelope.body),
+        }
+    }
+}
+
+/// Parses one request line like [`parse_request`], decoding the body's
+/// first top-level `scenarios` member straight into typed scenarios
+/// instead of a [`Json`] tree.
+///
+/// A member whose shape [`parse_scenarios`] would reject — an empty batch,
+/// a non-array scenario, an unknown op, a missing or mistyped field, a
+/// probability outside `[0, 1]` — or that holds a syntax error is rewound
+/// and parsed into the body as a tree, so every error, and its
+/// precedence, is the one [`parse_request`] plus [`parse_scenarios`]
+/// would give.
+///
+/// # Errors
+///
+/// As [`parse_request`].
+pub fn decode_request(line: &str) -> Result<Request, ServeError> {
+    let mut offered = false;
+    let mut scenarios = None;
+    let body = json::parse_with(line, |key, value| {
+        // `Json::get` semantics: only the first `scenarios` counts.
+        if offered || key != "scenarios" {
+            return false;
+        }
+        offered = true;
+        scenarios = decode_scenarios(value);
+        scenarios.is_some()
+    })
+    .map_err(parse_error)?;
+    Ok(Request {
+        envelope: envelope(body)?,
+        scenarios,
+    })
+}
+
+fn parse_error(e: json::JsonError) -> ServeError {
+    ServeError::Parse {
         detail: e.to_string(),
-    })?;
+    }
+}
+
+/// Checks a parsed request object's envelope members.
+fn envelope(body: Json) -> Result<Envelope, ServeError> {
     if body.as_obj().is_none() {
         return Err(ServeError::BadRequest {
             detail: "request must be a JSON object".into(),
@@ -473,6 +575,100 @@ pub fn parse_scenarios(body: &Json) -> Result<Vec<Scenario>, ServeError> {
     items.iter().map(parse_scenario).collect()
 }
 
+/// A shape the typed scenario decoder does not handle (or a syntax
+/// error): the member is rewound and parsed as a tree instead.
+struct Mismatch;
+
+impl From<json::JsonError> for Mismatch {
+    fn from(_: json::JsonError) -> Self {
+        Mismatch
+    }
+}
+
+/// A scalar member value as the typed decoder sees it.
+enum Scalar<'a> {
+    Str(Cow<'a, str>),
+    Num(f64),
+    Other,
+}
+
+impl Scalar<'_> {
+    fn read<'a>(value: Cursor<'a, '_>) -> Result<Scalar<'a>, json::JsonError> {
+        match value.peek() {
+            Some(b'"') => value.str().map(Scalar::Str),
+            Some(b'-' | b'0'..=b'9') => value.num().map(Scalar::Num),
+            _ => value.skip().map(|()| Scalar::Other),
+        }
+    }
+}
+
+/// The members a change object may carry, in [`parse_scenario`]'s terms.
+const CHANGE_FIELDS: [&str; 6] = [
+    "op",
+    "class",
+    "factor",
+    "p_mf",
+    "p_hf_given_ms",
+    "p_hf_given_mf",
+];
+
+/// Decodes a `scenarios` value into the list [`parse_scenarios`] would
+/// return for it, or `None` when it would return an error.
+fn decode_scenarios(value: Cursor<'_, '_>) -> Option<Vec<Scenario>> {
+    let mut list = Vec::new();
+    value
+        .array(|scenario| {
+            list.push(decode_scenario(scenario)?);
+            Ok::<(), Mismatch>(())
+        })
+        .ok()?;
+    (!list.is_empty()).then_some(list)
+}
+
+fn decode_scenario(value: Cursor<'_, '_>) -> Result<Scenario, Mismatch> {
+    let mut scenario = Scenario::new();
+    value.array(|change| {
+        scenario = decode_change(change, std::mem::take(&mut scenario))?;
+        Ok::<(), Mismatch>(())
+    })?;
+    Ok(scenario)
+}
+
+/// Appends one change object to `scenario`. Like `Json::get`, the first
+/// occurrence of a key wins; later duplicates and unknown members are
+/// validated and skipped.
+fn decode_change(value: Cursor<'_, '_>, scenario: Scenario) -> Result<Scenario, Mismatch> {
+    let mut fields: [Option<Scalar<'_>>; 6] = Default::default();
+    value.object(|key, member| {
+        match CHANGE_FIELDS.iter().position(|f| *f == key) {
+            Some(i) if fields[i].is_none() => fields[i] = Some(Scalar::read(member)?),
+            _ => member.skip()?,
+        }
+        Ok::<(), Mismatch>(())
+    })?;
+    let [op, class, factor, p_mf, p_hf_given_ms, p_hf_given_mf] = fields;
+    let class = || match class {
+        Some(Scalar::Str(name)) => Ok(ClassId::new(name)),
+        _ => Err(Mismatch),
+    };
+    let num = |field: Option<Scalar<'_>>| match field {
+        Some(Scalar::Num(v)) => Ok(v),
+        _ => Err(Mismatch),
+    };
+    let prob = |field| Probability::new(num(field)?).map_err(|_| Mismatch);
+    let Some(Scalar::Str(op)) = op else {
+        return Err(Mismatch);
+    };
+    Ok(match &*op {
+        "improve_machine" => scenario.improve_machine(class()?, num(factor)?),
+        "improve_machine_everywhere" => scenario.improve_machine_everywhere(num(factor)?),
+        "set_machine_failure" => scenario.set_machine_failure(class()?, prob(p_mf)?),
+        "set_reader" => scenario.set_reader(class()?, prob(p_hf_given_ms)?, prob(p_hf_given_mf)?),
+        "scale_reader_everywhere" => scenario.scale_reader_everywhere(num(factor)?),
+        _ => return Err(Mismatch),
+    })
+}
+
 /// Extracts the `members` array of a cohort request: each entry carries a
 /// `name`, a `weight`, and the full per-class parameter map of a
 /// sequential model. Shared by the `load_cohort` verb and snapshot
@@ -502,6 +698,7 @@ pub fn parse_cohort_members(body: &Json) -> Result<Vec<CohortMember>, ServeError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng as _;
 
     #[test]
     fn envelope_round_trip_and_defaults() {
@@ -692,6 +889,75 @@ mod tests {
         assert!(parse_scenarios(&empty).is_err());
     }
 
+    /// The typed decode of `line` next to the tree path's answer.
+    fn both_paths(line: &str) -> (Result<Vec<Scenario>, ServeError>, Request) {
+        let tree = parse_request(line).and_then(|env| parse_scenarios(&env.body));
+        let request = decode_request(line).unwrap();
+        (tree, request)
+    }
+
+    #[test]
+    fn scenarios_decode_typed_with_get_semantics() {
+        let line = r#"{"verb":"scenarios","scenarios":[
+            [{"op":"improve_machine","class":"diff\u0069cult","factor":10,"note":{"x":[1,null]}}],
+            [{"factor":2,"op":"improve_machine_everywhere","factor":"ignored"}],
+            [{"op":"set_machine_failure","op":"warp","class":"easy","p_mf":0.01}],
+            [{"op":"set_reader","class":"easy","p_hf_given_ms":0.1,"p_hf_given_mf":0.2,"class":7}],
+            [{"op":"scale_reader_everywhere","factor":1.5}],
+            []
+        ],"scenarios":"a later duplicate","id":3}"#;
+        let (tree, mut request) = both_paths(line);
+        assert!(request.scenarios.is_some(), "decoded without a tree");
+        assert_eq!(request.take_scenarios(), tree);
+        let scenarios = tree.unwrap();
+        assert_eq!(scenarios.len(), 6);
+        assert_eq!(
+            scenarios[0],
+            Scenario::new().improve_machine(ClassId::new("difficult"), 10.0)
+        );
+        // The decoded member is left out of the body; the rest survives.
+        let body = &request.envelope.body;
+        assert_eq!(body.get("scenarios"), Some(&Json::str("a later duplicate")));
+        assert_eq!(request.envelope.id, Json::Num(3.0));
+    }
+
+    #[test]
+    fn scenario_shape_faults_fall_back_to_the_tree_and_its_errors() {
+        for scenarios in [
+            "[]",
+            "{}",
+            "[{}]",
+            "[[5]]",
+            "[[{}]]",
+            r#"[[{"op":"warp","factor":2}]]"#,
+            r#"[[{"op":7}]]"#,
+            r#"[[{"op":"improve_machine","factor":2}]]"#,
+            r#"[[{"op":"improve_machine","class":1,"factor":2}]]"#,
+            r#"[[{"op":"improve_machine_everywhere","factor":"2"}]]"#,
+            r#"[[{"op":"set_machine_failure","class":"a","p_mf":1.5}]]"#,
+            r#"[[{"op":"set_reader","class":"a","p_hf_given_ms":-0.1,"p_hf_given_mf":0}]]"#,
+        ] {
+            let line = format!(r#"{{"verb":"scenarios","scenarios":{scenarios}}}"#);
+            let (tree, mut request) = both_paths(&line);
+            assert!(tree.is_err(), "{scenarios}");
+            assert_eq!(request.scenarios, None, "{scenarios}");
+            assert_eq!(request.take_scenarios(), tree, "{scenarios}");
+        }
+        // Syntax errors inside the member come from the tree parser, with
+        // its offsets.
+        for line in [
+            r#"{"verb":"scenarios","scenarios":[[{"op":"improve_machine","factor":01}]]}"#,
+            r#"{"verb":"scenarios","scenarios":[[{"op":"improve_machine","factor":1}]}"#,
+            r#"{"verb":"scenarios","scenarios":[[{"op":"x\q"}]]}"#,
+        ] {
+            assert_eq!(
+                decode_request(line).unwrap_err(),
+                parse_request(line).unwrap_err(),
+                "{line}"
+            );
+        }
+    }
+
     #[test]
     fn detection_params_parse() {
         let body =
@@ -769,6 +1035,82 @@ mod tests {
         reader.push(&[0xA9, b'\n', b'o', b'k', b'\n']);
         assert_eq!(reader.next_event(), Some(LineEvent::InvalidUtf8));
         assert_eq!(reader.next_event(), Some(LineEvent::Line("ok".into())));
+    }
+
+    /// Every event the reader yields for `stream` pushed in `chunk`-byte
+    /// pieces, draining after each push.
+    fn events_in_chunks(stream: &[u8], chunk: usize, limit: usize) -> Vec<LineEvent> {
+        let mut reader = LineReader::new(limit);
+        let mut events = Vec::new();
+        for piece in stream.chunks(chunk) {
+            reader.push(piece);
+            while let Some(event) = reader.next_event() {
+                events.push(event);
+            }
+            assert!(
+                reader.buffered() <= limit,
+                "a drained reader holds at most a partial line"
+            );
+        }
+        events
+    }
+
+    #[test]
+    fn line_reader_events_do_not_depend_on_chunking() {
+        let limit = 16;
+        let mut stream = Vec::new();
+        stream.extend_from_slice(b"{\"verb\":\"ping\"}\r\n");
+        stream.extend_from_slice(b"\n"); // an empty line
+        stream.extend_from_slice(b"exactly-sixteen!\n"); // at the limit
+        stream.extend_from_slice(b"seventeen-bytes!!\n"); // one over
+        stream.extend_from_slice(b"fifteen-bytes!!\r\n"); // at the limit with CR
+        stream.extend_from_slice(b"sixteen-bytes!!!\r\n"); // CR pushes it over
+        stream.extend_from_slice(&[b'x'; 40]); // resync across pushes
+        stream.extend_from_slice(b"\nafter\n");
+        stream.extend_from_slice(&[0xC3, 0xA9, b'\n']); // "é"
+        stream.extend_from_slice(&[0xA9, b'o', b'k', b'\n']); // invalid UTF-8
+        stream.extend_from_slice(b"partial");
+        let expected = vec![
+            LineEvent::Line("{\"verb\":\"ping\"}".into()),
+            LineEvent::Line(String::new()),
+            LineEvent::Line("exactly-sixteen!".into()),
+            LineEvent::TooLong { limit },
+            LineEvent::Line("fifteen-bytes!!".into()),
+            LineEvent::TooLong { limit },
+            LineEvent::TooLong { limit },
+            LineEvent::Line("after".into()),
+            LineEvent::Line("é".into()),
+            LineEvent::InvalidUtf8,
+        ];
+        assert_eq!(events_in_chunks(&stream, stream.len(), limit), expected);
+        for chunk in [1, 2, 3, 5, 7, 16, 17, 64] {
+            assert_eq!(
+                events_in_chunks(&stream, chunk, limit),
+                expected,
+                "chunk {chunk}"
+            );
+        }
+        // Seeded random splits, several pushes between drains included.
+        let mut rng = hmdiv_prob::par::stream_rng(0x11e5, 0);
+        for _ in 0..200 {
+            let mut reader = LineReader::new(limit);
+            let mut events = Vec::new();
+            let mut at = 0;
+            while at < stream.len() {
+                let end = (at + rng.gen_range(1..24_usize)).min(stream.len());
+                reader.push(&stream[at..end]);
+                at = end;
+                if rng.gen_bool(0.7) {
+                    while let Some(event) = reader.next_event() {
+                        events.push(event);
+                    }
+                }
+            }
+            while let Some(event) = reader.next_event() {
+                events.push(event);
+            }
+            assert_eq!(events, expected);
+        }
     }
 
     #[test]

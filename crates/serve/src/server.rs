@@ -38,7 +38,7 @@ use crate::batcher::{Batcher, Outcome, Ticket, Waker, Work};
 use crate::error::ServeError;
 use crate::json::{self, Json};
 use crate::poller::PollerPool;
-use crate::protocol::{self, Envelope};
+use crate::protocol::{self, Request};
 use crate::registry::{Artifact, LoadReceipt, Registry};
 use crate::shutdown::ShutdownSignal;
 
@@ -428,9 +428,10 @@ pub(crate) fn route_line(
     waker: Option<Waker>,
 ) -> RequestSlot {
     let parse_start = Instant::now();
-    match protocol::parse_request(line) {
-        Ok(env) => {
+    match protocol::decode_request(line) {
+        Ok(mut request) => {
             let parse_end = Instant::now();
+            let env = &request.envelope;
             if VERBS.contains(&env.verb.as_str()) {
                 hmdiv_obs::counter_add(&format!("serve.verb.{}", env.verb), 1);
             } else {
@@ -457,7 +458,7 @@ pub(crate) fn route_line(
             });
             let echo = trace.as_ref().map(|(tid, ..)| *tid).or(env.trace_id);
             let stage_set = trace.as_ref().map(|(_, set, ..)| Arc::clone(set));
-            let routed = route(&env, received, ctx, stage_set.clone(), waker);
+            let routed = route(&mut request, received, ctx, stage_set.clone(), waker);
             if let Some(set) = &stage_set {
                 // Queued verbs spend `route` binding and submitting —
                 // count that as parse; inline verbs do their whole
@@ -746,12 +747,13 @@ fn snapshot_result_json(dir: &Path, action: &str, ids: &[String]) -> Json {
 }
 
 fn route(
-    env: &Envelope,
+    request: &mut Request,
     received: Instant,
     ctx: &Ctx,
     trace: Option<Arc<StageSet>>,
     waker: Option<Waker>,
 ) -> Result<Routed, ServeError> {
+    let env = &request.envelope;
     let deadline = env
         .deadline_ms
         .or(ctx.default_deadline_ms)
@@ -990,7 +992,7 @@ fn route(
         }
         "scenarios" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
-            let scenarios = protocol::parse_scenarios(body)?;
+            let scenarios = request.take_scenarios()?;
             // Admission cost: one scalar evaluation per scenario, so a
             // bulk batch cannot monopolize a flush window for free.
             let cost = scenarios.len();

@@ -395,6 +395,116 @@ fn wire_errors_carry_stable_codes() {
 }
 
 #[test]
+fn scenario_errors_have_golden_lines() {
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let model_id = load_paper_model(&mut client);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut exchange = |line: String| {
+        raw.write_all(line.as_bytes()).unwrap();
+        raw.write_all(b"\n").unwrap();
+        read_line(&mut raw)
+    };
+    let request = |id: usize, model: &str, scenarios: &str| {
+        let tail = if scenarios.is_empty() {
+            String::new()
+        } else {
+            format!(",\"scenarios\":{scenarios}")
+        };
+        format!(
+            "{{\"id\":{id},\"verb\":\"scenarios\",\"model\":\"{model}\",\
+             \"profile\":{{\"easy\":0.9,\"difficult\":0.1}}{tail}}}"
+        )
+    };
+    let bad = |id: usize, message: &str| {
+        format!(
+            "{{\"id\":{id},\"ok\":false,\"error\":{{\"code\":\"bad_request\",\
+             \"message\":\"bad request: {message}\"}}}}"
+        )
+    };
+    // Every scenario shape fault, one golden line each.
+    let shapes = [
+        ("", "missing field `scenarios`"),
+        ("{}", "`scenarios` must be an array of scenarios"),
+        ("[]", "`scenarios` must not be empty"),
+        ("[{}]", "a scenario must be an array of change objects"),
+        ("[[5]]", "missing field `op`"),
+        (r#"[[{"factor":2}]]"#, "missing field `op`"),
+        (r#"[[{"op":7}]]"#, "field `op` must be a string"),
+        (
+            r#"[[{"op":"warp","factor":2}]]"#,
+            "unknown scenario op `warp`",
+        ),
+        (
+            r#"[[{"op":"improve_machine","factor":2}]]"#,
+            "missing field `class`",
+        ),
+        (
+            r#"[[{"op":"set_reader","class":5,"p_hf_given_ms":0.1,"p_hf_given_mf":0.2}]]"#,
+            "field `class` must be a string",
+        ),
+        (
+            r#"[[{"op":"scale_reader_everywhere"}]]"#,
+            "missing field `factor`",
+        ),
+        (
+            r#"[[{"op":"improve_machine_everywhere","factor":"2"}]]"#,
+            "field `factor` must be a number",
+        ),
+        // The first of duplicate keys is the one that counts.
+        (
+            r#"[[{"op":"improve_machine_everywhere","factor":"2","factor":2}]]"#,
+            "field `factor` must be a number",
+        ),
+        // A later bad scenario fails the batch after good ones.
+        (
+            r#"[[{"op":"improve_machine_everywhere","factor":2}],[{"op":"warp"}]]"#,
+            "unknown scenario op `warp`",
+        ),
+    ];
+    for (i, (scenarios, message)) in shapes.iter().enumerate() {
+        assert_eq!(
+            exchange(request(i, &model_id, scenarios)),
+            bad(i, message),
+            "{scenarios}"
+        );
+    }
+    // A probability outside [0, 1] is a model-layer error.
+    assert_eq!(
+        exchange(request(
+            20,
+            &model_id,
+            r#"[[{"op":"set_machine_failure","class":"easy","p_mf":1.5}]]"#
+        )),
+        "{\"id\":20,\"ok\":false,\"error\":{\"code\":\"prob\",\"message\":\
+         \"probability error: probability must lie in [0, 1], got 1.5\"}}"
+    );
+    // Precedence: JSON syntax first, then model binding, then shape.
+    let syntax = request(21, &model_id, "[[{\"op\":01}]]");
+    assert_eq!(
+        exchange(syntax),
+        "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"parse_error\",\"message\":\
+         \"invalid JSON: invalid number `01` at byte 115\"}}"
+    );
+    assert_eq!(
+        exchange(request(22, "m0000000000000000", "[]")),
+        "{\"id\":22,\"ok\":false,\"error\":{\"code\":\"unknown_model\",\"message\":\
+         \"no model or cohort loaded under id `m0000000000000000`\"}}"
+    );
+    // Well-formed scenarios — escaped names, ignored members — succeed.
+    let ok = exchange(request(
+        23,
+        &model_id,
+        r#"[[{"op":"improve_machine","class":"diff\u0069cult","factor":10,"why":["table 3"]}]]"#,
+    ));
+    assert!(
+        ok.starts_with("{\"id\":23,\"ok\":true,\"result\":{\"failures\":["),
+        "{ok}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn analyze_verb_reports_and_load_rejects_with_hm_codes() {
     let server = start();
     let mut client = Client::connect(server.addr()).unwrap();
