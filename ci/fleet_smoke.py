@@ -8,7 +8,10 @@ Drives the whole failover story against three externally-started
                    assert every replica admitted it under the same
                    content id with byte-identical manifests, and that
                    routed evaluations reproduce the paper's field
-                   estimate exactly; record the baseline to STATE_OUT.
+                   estimate exactly; then send a second `load` whose verb
+                   is JSON-escaped and assert it too was broadcast (the
+                   router reads the verb as the replicas' parser does);
+                   record the baseline to STATE_OUT.
 2. --degraded    — after CI killed one replica: routed evaluations keep
                    answering with exactly the baseline bits (requests
                    that race the ejection window may fail, but only with
@@ -52,6 +55,11 @@ class Session:
         req = {"id": self.next_id, "verb": verb, **fields}
         self.next_id += 1
         self.sock.sendall(json.dumps(req).encode() + b"\n")
+        return json.loads(self.read_line())
+
+    def request_line(self, line):
+        """Sends one hand-written request line; returns the parsed reply."""
+        self.sock.sendall(line.encode() + b"\n")
         return json.loads(self.read_line())
 
     def read_line(self):
@@ -111,6 +119,19 @@ def baseline(host, port, state_out, replica_ports):
     assert manifests[0] == manifests[1] == manifests[2], manifests
     assert model_id.encode() in manifests[0], manifests[0]
     print(f"broadcast load converged 3 replicas on {model_id}")
+
+    # `lo\u0061d` is `load` to every JSON parser: the router must
+    # broadcast it too, or one replica's registry diverges.
+    escaped_classes = {"rare": PAPER_CLASSES["easy"]}
+    reply = s.request_line(
+        '{"id":0,"verb":"lo\\u0061d","classes":%s}' % json.dumps(escaped_classes)
+    )
+    assert reply.get("ok"), reply
+    escaped_id = reply["result"]["model_id"]
+    manifests = [raw_manifest_line(host, p) for p in replica_ports]
+    assert manifests[0] == manifests[1] == manifests[2], manifests
+    assert escaped_id.encode() in manifests[0], manifests[0]
+    print(f"escaped-verb load broadcast to 3 replicas as {escaped_id}")
 
     failures = set()
     for _ in range(12):

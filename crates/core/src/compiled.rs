@@ -27,12 +27,24 @@
 //! The batch entry points are **lane-blocked**: [`SCENARIO_LANES`] (or
 //! [`PROFILE_LANES`]) *independent* evaluations advance per inner-loop
 //! iteration over the dense slots, with fixed-width lane arrays the
-//! compiler can autovectorize on stable rustc and a scalar remainder tail.
-//! Lanes are whole evaluations, never pieces of one — each lane's
-//! floating-point accumulation order is exactly the scalar order, so the
-//! bit-identity contract survives the blocking. A lane block of scenarios
-//! is patched into a strided scratch region (`[class][lane]` layout) by one
-//! multi-patch sweep, then evaluated by one fused pass over the profile.
+//! compiler can autovectorize on stable rustc. Lanes are whole
+//! evaluations, never pieces of one — each lane's floating-point
+//! accumulation order is exactly the scalar order, so the bit-identity
+//! contract survives the blocking. A lane block of scenarios is patched
+//! into a strided scratch region (`[class][lane]` layout) by one
+//! multi-patch sweep, then evaluated by one fused pass over the profile;
+//! a partial last block runs through the same kernel.
+//!
+//! Scenario lanes come from one of two sources, through one kernel and
+//! one set of overlay composition rules. In-process `&[Scenario]` batches
+//! ([`CompiledModel::evaluate_scenarios`]) resolve and compose each lane's
+//! overlay inside the worker. A [`CompiledScenarios`] sweep — bound once
+//! by [`CompiledModel::bind_scenarios`] or built from resolved
+//! [`SlotChange`]s, as the server does per request — holds the composed
+//! `(slot, final params)` overlays in flat arrays, so
+//! [`CompiledModel::evaluate_bound_scenarios`] only reads them. A bound
+//! sweep stores the errors its scenarios would raise and returns them at
+//! evaluation, lowest-indexed first, as the in-process path does.
 //!
 //! Class-resolution failures surface uniformly as
 //! [`ModelError::UnknownClass`].
@@ -44,7 +56,7 @@ use hmdiv_prob::Probability;
 use crate::adaptation::AdaptationResponse;
 use crate::extrapolate::{Change, Scenario};
 use crate::{
-    ClassParams, ClassUniverse, DemandProfile, DetectionParams, ModelError, ModelParams,
+    ClassId, ClassParams, ClassUniverse, DemandProfile, DetectionParams, ModelError, ModelParams,
     ParallelDetectionModel,
 };
 
@@ -428,9 +440,10 @@ impl CompiledModel {
     /// Batch evaluation: applies each scenario to the dense slots (batch
     /// patch/restore — the baseline is never cloned as a map) and evaluates
     /// eq. (8) under the bound profile, lane-blocked [`SCENARIO_LANES`]
-    /// scenarios at a time with a scalar tail. A block's scenarios are
-    /// multi-patched into a strided scratch region and evaluated by one
-    /// fused pass; see [`LaneScratch`].
+    /// scenarios at a time. A block's scenarios are multi-patched into a
+    /// strided scratch region and evaluated by one fused pass; see
+    /// `LaneScratch`. Each lane composes its scenario's overlay as the
+    /// block reaches it — no separate binding pass.
     ///
     /// Records `core.compiled.scenario_evals` plus the
     /// `core.compiled.lane_blocks` / `core.compiled.lane_tail` kernel
@@ -446,154 +459,12 @@ impl CompiledModel {
         scenarios: &[Scenario],
         profile: &CompiledProfile,
     ) -> Result<Vec<Probability>, ModelError> {
-        let mut lanes = LaneScratch::for_model(self);
-        let mut out = Vec::with_capacity(scenarios.len());
-        let mut blocks = scenarios.chunks_exact(SCENARIO_LANES);
-        for block in &mut blocks {
-            out.extend(self.scenario_block_failures(block, profile, &mut lanes)?);
-        }
-        let tail = blocks.remainder();
-        for scenario in tail {
-            self.apply_scenario_into(scenario, &mut lanes.scratch)?;
-            out.push(failure_over(&lanes.scratch, profile));
-        }
-        hmdiv_obs::counter_add(
-            "core.compiled.lane_blocks",
-            (scenarios.len() / SCENARIO_LANES) as u64,
-        );
-        hmdiv_obs::counter_add("core.compiled.lane_tail", tail.len() as u64);
-        hmdiv_obs::counter_add("core.compiled.scenario_evals", scenarios.len() as u64);
-        Ok(out)
-    }
-
-    /// Evaluates one full lane block of scenarios against a bound profile.
-    ///
-    /// The multi-patch sweep first broadcasts the baseline class-failure
-    /// column across every lane of the rows the profile reads, then each
-    /// lane overwrites only the cells its scenario changes: targeted-change
-    /// scenarios without adaptation go through a sparse overlay (no
-    /// baseline copy, no per-slot adaptation pass), everything else through
-    /// the general [`CompiledModel::apply_scenario_into`] path. One fused
-    /// pass then walks the profile once, advancing all lanes per entry.
-    ///
-    /// Lanes are independent evaluations: each lane's additions happen in
-    /// its own profile order, so every lane is bit-identical to the scalar
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The lowest-indexed lane's error, matching sequential fail-fast
-    /// order.
-    fn scenario_block_failures(
-        &self,
-        block: &[Scenario],
-        profile: &CompiledProfile,
-        lanes: &mut LaneScratch,
-    ) -> Result<[Probability; SCENARIO_LANES], ModelError> {
-        debug_assert_eq!(block.len(), SCENARIO_LANES);
-        if lanes.cf_block.len() != self.params.len() * SCENARIO_LANES {
-            lanes
-                .cf_block
-                .resize(self.params.len() * SCENARIO_LANES, 0.0);
-        }
-        for &idx in profile.indices() {
-            let i = idx as usize;
-            lanes.cf_block[i * SCENARIO_LANES..][..SCENARIO_LANES].fill(self.class_failure[i]);
-        }
-        for (lane, scenario) in block.iter().enumerate() {
-            if self.try_overlay(scenario, &mut lanes.overlay)? {
-                for &(i, cp) in &lanes.overlay {
-                    lanes.cf_block[i * SCENARIO_LANES + lane] = cp.class_failure().value();
-                }
-            } else {
-                self.apply_scenario_into(scenario, &mut lanes.scratch)?;
-                for &idx in profile.indices() {
-                    let i = idx as usize;
-                    lanes.cf_block[i * SCENARIO_LANES + lane] =
-                        lanes.scratch[i].class_failure().value();
-                }
-            }
-        }
-        let mut acc = [0.0_f64; SCENARIO_LANES];
-        for (idx, w) in profile.iter() {
-            let row = &lanes.cf_block[idx as usize * SCENARIO_LANES..][..SCENARIO_LANES];
-            for (a, &cf) in acc.iter_mut().zip(row) {
-                *a += w * cf;
-            }
-        }
-        Ok(acc.map(Probability::clamped))
-    }
-
-    /// Tries to express a scenario as a sparse overlay of targeted slot
-    /// updates on the baseline: possible exactly when the adaptation is
-    /// [`AdaptationResponse::None`] (a proven identity, so skipping the
-    /// per-slot pass is bit-exact) and every change addresses a single
-    /// class. Returns `Ok(false)` — overlay contents unspecified — when the
-    /// scenario needs the general path. Validation errors surface in change
-    /// order, exactly as [`CompiledModel::apply_scenario_into`] raises
-    /// them; a whole-table change aborts to the general path *before*
-    /// validating later changes, so the general pass re-raises errors in
-    /// the original order.
-    fn try_overlay(
-        &self,
-        scenario: &Scenario,
-        overlay: &mut Vec<(usize, ClassParams)>,
-    ) -> Result<bool, ModelError> {
-        if !matches!(scenario.adaptation(), AdaptationResponse::None) {
-            return Ok(false);
-        }
-        overlay.clear();
-        for change in scenario.changes() {
-            let (i, updated) = match change {
-                Change::ImproveMachine { class, factor } => {
-                    let i = self.universe.resolve(class.name())? as usize;
-                    (
-                        i,
-                        self.overlay_base(overlay, i)
-                            .with_machine_improved(*factor)?,
-                    )
-                }
-                Change::SetMachineFailure { class, p_mf } => {
-                    let i = self.universe.resolve(class.name())? as usize;
-                    (i, self.overlay_base(overlay, i).with_p_mf(*p_mf))
-                }
-                Change::SetReader {
-                    class,
-                    p_hf_given_ms,
-                    p_hf_given_mf,
-                } => {
-                    let i = self.universe.resolve(class.name())? as usize;
-                    (
-                        i,
-                        self.overlay_base(overlay, i)
-                            .with_reader(*p_hf_given_ms, *p_hf_given_mf),
-                    )
-                }
-                Change::ImproveMachineEverywhere { .. } | Change::ScaleReaderEverywhere { .. } => {
-                    return Ok(false)
-                }
-            };
-            match overlay.iter_mut().find(|(j, _)| *j == i) {
-                Some(slot) => slot.1 = updated,
-                None => overlay.push((i, updated)),
-            }
-        }
-        Ok(true)
-    }
-
-    /// The current value of slot `i` under a partially-built overlay —
-    /// successive changes to one class compose, as they do on the scratch
-    /// copy in the general path.
-    fn overlay_base(&self, overlay: &[(usize, ClassParams)], i: usize) -> ClassParams {
-        overlay
-            .iter()
-            .find(|(j, _)| *j == i)
-            .map_or(self.params[i], |(_, cp)| *cp)
+        self.evaluate_lanes(scenarios, profile, 1)
     }
 
     /// [`CompiledModel::evaluate_scenarios`] sharded across the
     /// `hmdiv_prob::par` executor: the lane-block index is the task id,
-    /// each worker keeps one private [`LaneScratch`], and per-scenario
+    /// each worker keeps one private `LaneScratch`, and per-scenario
     /// results ride the in-order merge — bit-identical to the sequential
     /// batch at every thread count, including which error surfaces first
     /// (blocks run in task order; lanes within a block in scenario order).
@@ -612,66 +483,270 @@ impl CompiledModel {
         profile: &CompiledProfile,
         threads: usize,
     ) -> Result<Vec<Probability>, ModelError> {
-        if threads <= 1 || scenarios.len() < 2 {
-            return self.evaluate_scenarios(scenarios, profile);
+        self.evaluate_lanes(scenarios, profile, threads)
+    }
+
+    /// Binds a scenario sweep to this model: every scenario's classes are
+    /// resolved and its overlay composed once, so evaluation reads flat
+    /// slot overlays. Errors are stored in the sweep, not returned; see
+    /// [`CompiledScenarios`].
+    #[must_use]
+    pub fn bind_scenarios(&self, scenarios: &[Scenario]) -> CompiledScenarios {
+        let mut sweep = CompiledScenarios::with_capacity(self, scenarios.len());
+        for scenario in scenarios {
+            sweep.push(self, self.slot_changes(scenario), || scenario.clone());
         }
-        let blocks = scenarios.len().div_ceil(SCENARIO_LANES);
-        // Pre-size each worker's shard: the scratch covers every slot and
-        // the results its contiguous share of the batch.
-        let per_worker = blocks.div_ceil(threads) * SCENARIO_LANES;
-        /// Per-worker accumulator: the lane scratch is worker-private
-        /// working state and deliberately not merged; only the in-order
-        /// per-scenario results are.
-        struct Shard {
-            lanes: LaneScratch,
-            out: Vec<Result<Probability, ModelError>>,
-        }
-        impl hmdiv_prob::par::Merge for Shard {
-            fn merge(&mut self, later: Self) {
-                self.out.merge(later.out);
+        sweep
+    }
+
+    /// Evaluates a sweep bound to this model — the same kernel, counters
+    /// and results, bit for bit, as [`CompiledModel::evaluate_scenarios_par`]
+    /// over the scenarios the sweep was bound from, at any `threads`.
+    ///
+    /// # Errors
+    ///
+    /// The error stored for, or raised by, the lowest-indexed failing
+    /// scenario — the one [`CompiledModel::evaluate_scenarios`] returns.
+    ///
+    /// # Panics
+    ///
+    /// If the sweep was bound to a model with a different universe.
+    pub fn evaluate_bound_scenarios(
+        &self,
+        sweep: &CompiledScenarios,
+        profile: &CompiledProfile,
+        threads: usize,
+    ) -> Result<Vec<Probability>, ModelError> {
+        assert!(
+            Arc::ptr_eq(&sweep.universe, &self.universe),
+            "a bound sweep is evaluated on the model that bound it"
+        );
+        self.evaluate_lanes(sweep, profile, threads)
+    }
+
+    /// The one loop behind every scenario batch: lane blocks in order on
+    /// one scratch, or sharded over `hmdiv_prob::par` with the block index
+    /// as the task id. The last block may be partial; its unused lanes
+    /// evaluate the baseline and are dropped.
+    fn evaluate_lanes<S: LaneSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        profile: &CompiledProfile,
+        threads: usize,
+    ) -> Result<Vec<Probability>, ModelError> {
+        let n = src.count();
+        let blocks = n.div_ceil(SCENARIO_LANES);
+        let used = |start: usize| (n - start).min(SCENARIO_LANES);
+        let out = if threads <= 1 || n < 2 {
+            let mut lanes = LaneScratch::for_model(self);
+            let mut out = Vec::with_capacity(n);
+            for start in (0..n).step_by(SCENARIO_LANES) {
+                let block = self.lane_block(src, start, profile, &mut lanes)?;
+                out.extend_from_slice(&block[..used(start)]);
             }
-        }
-        let shard = hmdiv_prob::par::run_tasks_scoped(
-            "core.compiled.batch",
-            0,
-            blocks as u64,
-            threads,
-            || Shard {
-                lanes: LaneScratch::for_model(self),
-                out: Vec::with_capacity(per_worker),
-            },
-            |id, _rng, acc| {
-                let start = id as usize * SCENARIO_LANES;
-                let block = &scenarios[start..scenarios.len().min(start + SCENARIO_LANES)];
-                if block.len() == SCENARIO_LANES {
-                    match self.scenario_block_failures(block, profile, &mut acc.lanes) {
-                        Ok(vals) => acc.out.extend(vals.into_iter().map(Ok)),
-                        // One entry suffices: the batch surfaces the first
-                        // error in merge order, and within the block this
-                        // is already the lowest-indexed lane's.
-                        Err(e) => acc.out.push(Err(e)),
-                    }
-                } else {
-                    // Scalar remainder tail (always the last task).
-                    for scenario in block {
-                        let result = self
-                            .apply_scenario_into(scenario, &mut acc.lanes.scratch)
-                            .map(|()| failure_over(&acc.lanes.scratch, profile));
-                        acc.out.push(result);
+            out
+        } else {
+            /// Per-worker accumulator: the lane scratch is worker-private
+            /// working state and deliberately not merged; the results and
+            /// the worker's first error ride the in-order merge.
+            struct Shard {
+                lanes: LaneScratch,
+                out: Vec<Probability>,
+                err: Option<ModelError>,
+            }
+            impl hmdiv_prob::par::Merge for Shard {
+                fn merge(&mut self, later: Self) {
+                    self.out.merge(later.out);
+                    // Workers hold contiguous blocks in task order, so the
+                    // earlier worker's error is the lower-indexed one.
+                    if self.err.is_none() {
+                        self.err = later.err;
                     }
                 }
-            },
-        );
-        hmdiv_obs::counter_add(
-            "core.compiled.lane_blocks",
-            (scenarios.len() / SCENARIO_LANES) as u64,
-        );
-        hmdiv_obs::counter_add(
-            "core.compiled.lane_tail",
-            (scenarios.len() % SCENARIO_LANES) as u64,
-        );
-        hmdiv_obs::counter_add("core.compiled.scenario_evals", scenarios.len() as u64);
-        shard.out.into_iter().collect()
+            }
+            // Pre-size each worker's results for its contiguous share.
+            let per_worker = blocks.div_ceil(threads) * SCENARIO_LANES;
+            let shard = hmdiv_prob::par::run_tasks_scoped(
+                "core.compiled.batch",
+                0,
+                blocks as u64,
+                threads,
+                || Shard {
+                    lanes: LaneScratch::for_model(self),
+                    out: Vec::with_capacity(per_worker),
+                    err: None,
+                },
+                |id, _rng, acc| {
+                    // After an error, this worker's later blocks cannot
+                    // surface first.
+                    if acc.err.is_some() {
+                        return;
+                    }
+                    let start = id as usize * SCENARIO_LANES;
+                    match self.lane_block(src, start, profile, &mut acc.lanes) {
+                        Ok(block) => acc.out.extend_from_slice(&block[..used(start)]),
+                        Err(e) => acc.err = Some(e),
+                    }
+                },
+            );
+            if let Some(e) = shard.err {
+                return Err(e);
+            }
+            shard.out
+        };
+        hmdiv_obs::counter_add("core.compiled.lane_blocks", (n / SCENARIO_LANES) as u64);
+        hmdiv_obs::counter_add("core.compiled.lane_tail", (n % SCENARIO_LANES) as u64);
+        hmdiv_obs::counter_add("core.compiled.scenario_evals", n as u64);
+        Ok(out)
+    }
+
+    /// Evaluates one lane block — the scenarios of `src` from `start`, at
+    /// most [`SCENARIO_LANES`] — against a bound profile.
+    ///
+    /// The multi-patch sweep first broadcasts the baseline class-failure
+    /// column across every lane of the rows the profile reads, then each
+    /// lane overwrites only the cells its scenario changes: a sparse
+    /// overlay (no baseline copy, no per-slot adaptation pass) when the
+    /// source yields one, else the general
+    /// [`CompiledModel::apply_scenario_into`] path. One fused pass then
+    /// walks the profile once, advancing all lanes per entry.
+    ///
+    /// Lanes are independent evaluations: each lane's additions happen in
+    /// its own profile order, so every lane is bit-identical to a scalar
+    /// eq. (8) over the scenario's patched slots.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-indexed lane's error, matching sequential fail-fast
+    /// order.
+    fn lane_block<S: LaneSource + ?Sized>(
+        &self,
+        src: &S,
+        start: usize,
+        profile: &CompiledProfile,
+        lanes: &mut LaneScratch,
+    ) -> Result<[Probability; SCENARIO_LANES], ModelError> {
+        for &idx in profile.indices() {
+            let i = idx as usize;
+            lanes.cf_block[i * SCENARIO_LANES..][..SCENARIO_LANES].fill(self.class_failure[i]);
+        }
+        for lane in 0..(src.count() - start).min(SCENARIO_LANES) {
+            match src.lane(self, start + lane, &mut lanes.overlay)? {
+                Lane::Overlay(entries) => {
+                    for &(slot, cp) in entries {
+                        lanes.cf_block[slot as usize * SCENARIO_LANES + lane] =
+                            cp.class_failure().value();
+                    }
+                }
+                Lane::General(scenario) => {
+                    self.apply_scenario_into(scenario, &mut lanes.scratch)?;
+                    for &idx in profile.indices() {
+                        let i = idx as usize;
+                        lanes.cf_block[i * SCENARIO_LANES + lane] =
+                            lanes.scratch[i].class_failure().value();
+                    }
+                }
+            }
+        }
+        let mut acc = [0.0_f64; SCENARIO_LANES];
+        for (idx, w) in profile.iter() {
+            let row = &lanes.cf_block[idx as usize * SCENARIO_LANES..][..SCENARIO_LANES];
+            for (a, &cf) in acc.iter_mut().zip(row) {
+                *a += w * cf;
+            }
+        }
+        Ok(acc.map(Probability::clamped))
+    }
+
+    /// A scenario's changes as the overlay rules read them, each class
+    /// resolved when the rules reach it. An adaptation response other than
+    /// [`AdaptationResponse::None`] leads with a whole-table step: only
+    /// `None` is a proven identity, so only then may the per-slot pass be
+    /// skipped.
+    fn slot_changes<'s>(
+        &'s self,
+        scenario: &'s Scenario,
+    ) -> impl Iterator<Item = Result<SlotChange, ModelError>> + 's {
+        let adapts = !matches!(scenario.adaptation(), AdaptationResponse::None);
+        let slot = move |class: &ClassId| self.universe.resolve(class.name());
+        adapts
+            .then_some(Ok(SlotChange::WholeTable))
+            .into_iter()
+            .chain(scenario.changes().iter().map(move |change| {
+                Ok(match change {
+                    Change::ImproveMachine { class, factor } => SlotChange::ImproveMachine {
+                        slot: slot(class)?,
+                        factor: *factor,
+                    },
+                    Change::SetMachineFailure { class, p_mf } => SlotChange::SetMachineFailure {
+                        slot: slot(class)?,
+                        p_mf: *p_mf,
+                    },
+                    Change::SetReader {
+                        class,
+                        p_hf_given_ms,
+                        p_hf_given_mf,
+                    } => SlotChange::SetReader {
+                        slot: slot(class)?,
+                        p_hf_given_ms: *p_hf_given_ms,
+                        p_hf_given_mf: *p_hf_given_mf,
+                    },
+                    Change::ImproveMachineEverywhere { .. }
+                    | Change::ScaleReaderEverywhere { .. } => SlotChange::WholeTable,
+                })
+            }))
+    }
+
+    /// The overlay composition rules, shared by both lane sources: appends
+    /// one scenario's `(slot, final params)` entries to `overlay`, with
+    /// successive changes to one slot composing in order, as they do on
+    /// the scratch copy in the general path. Returns `Ok(false)` — the
+    /// appended entries unspecified — at the first whole-table step.
+    /// Errors surface in change order, exactly as
+    /// [`CompiledModel::apply_scenario_into`] raises them; a whole-table
+    /// step stops *before* later changes are resolved or validated, so the
+    /// general pass re-raises errors in the original order.
+    // Forced: an in-process lane calls this once per scenario inside the
+    // block kernel; left to the optimizer, the 8-class `compiled_core`
+    // sweep slowed from ~60 to ~97 µs.
+    #[inline(always)]
+    fn compose_overlay(
+        &self,
+        changes: impl IntoIterator<Item = Result<SlotChange, ModelError>>,
+        overlay: &mut Vec<(u32, ClassParams)>,
+    ) -> Result<bool, ModelError> {
+        let from = overlay.len();
+        // A slot's value under the entries composed so far.
+        let base = |overlay: &[(u32, ClassParams)], slot: u32| {
+            overlay[from..]
+                .iter()
+                .find(|(s, _)| *s == slot)
+                .map_or(self.params[slot as usize], |(_, cp)| *cp)
+        };
+        for change in changes {
+            let (slot, updated) = match change? {
+                SlotChange::ImproveMachine { slot, factor } => {
+                    (slot, base(overlay, slot).with_machine_improved(factor)?)
+                }
+                SlotChange::SetMachineFailure { slot, p_mf } => {
+                    (slot, base(overlay, slot).with_p_mf(p_mf))
+                }
+                SlotChange::SetReader {
+                    slot,
+                    p_hf_given_ms,
+                    p_hf_given_mf,
+                } => (
+                    slot,
+                    base(overlay, slot).with_reader(p_hf_given_ms, p_hf_given_mf),
+                ),
+                SlotChange::WholeTable => return Ok(false),
+            };
+            match overlay[from..].iter_mut().find(|(s, _)| *s == slot) {
+                Some(entry) => entry.1 = updated,
+                None => overlay.push((slot, updated)),
+            }
+        }
+        Ok(true)
     }
 
     /// Applies a scenario's changes (and adaptation) to `scratch`, which is
@@ -850,10 +925,10 @@ impl CompiledModel {
 /// fused evaluation pass loads one contiguous lane-wide row per profile
 /// entry. `scratch` holds a full baseline copy for general-path lanes
 /// (whole-table changes or adaptation); `overlay` the `(slot, params)`
-/// pairs of sparse-path lanes.
+/// pairs an in-process lane composes.
 struct LaneScratch {
     scratch: Vec<ClassParams>,
-    overlay: Vec<(usize, ClassParams)>,
+    overlay: Vec<(u32, ClassParams)>,
     cf_block: Vec<f64>,
 }
 
@@ -867,15 +942,246 @@ impl LaneScratch {
     }
 }
 
-/// Eq. (8) over arbitrary parameter slots — shared by the baseline and
-/// scratch (scenario-patched) paths. Same accumulation order and the same
-/// `ClassParams::class_failure` calls as the map-based reference.
-fn failure_over(params: &[ClassParams], profile: &CompiledProfile) -> Probability {
-    let mut total = 0.0;
-    for (idx, w) in profile.iter() {
-        total += w * params[idx as usize].class_failure().value();
+/// What one lane of a block evaluates.
+enum Lane<'a> {
+    /// Final parameters for the slots the scenario changes.
+    Overlay(&'a [(u32, ClassParams)]),
+    /// A scenario for the general path.
+    General(&'a Scenario),
+}
+
+/// Where the lanes of the scenario kernel come from.
+trait LaneSource {
+    /// Number of scenarios.
+    fn count(&self) -> usize;
+
+    /// Scenario `k` as a lane. `overlay` is worker scratch a source may
+    /// compose into.
+    fn lane<'a>(
+        &'a self,
+        model: &CompiledModel,
+        k: usize,
+        overlay: &'a mut Vec<(u32, ClassParams)>,
+    ) -> Result<Lane<'a>, ModelError>;
+}
+
+/// In-process scenarios compose each lane's overlay inside the worker,
+/// with no intermediate bind.
+impl LaneSource for [Scenario] {
+    fn count(&self) -> usize {
+        self.len()
     }
-    Probability::clamped(total)
+
+    // Forced for the reason given on `compose_overlay`.
+    #[inline(always)]
+    fn lane<'a>(
+        &'a self,
+        model: &CompiledModel,
+        k: usize,
+        overlay: &'a mut Vec<(u32, ClassParams)>,
+    ) -> Result<Lane<'a>, ModelError> {
+        let scenario = &self[k];
+        overlay.clear();
+        Ok(
+            if model.compose_overlay(model.slot_changes(scenario), overlay)? {
+                Lane::Overlay(overlay)
+            } else {
+                Lane::General(scenario)
+            },
+        )
+    }
+}
+
+/// A bound sweep hands out what binding composed.
+impl LaneSource for CompiledScenarios {
+    fn count(&self) -> usize {
+        self.bound.len()
+    }
+
+    fn lane<'a>(
+        &'a self,
+        _model: &CompiledModel,
+        k: usize,
+        _overlay: &'a mut Vec<(u32, ClassParams)>,
+    ) -> Result<Lane<'a>, ModelError> {
+        match self.bound[k] {
+            Bound::Overlay { start, end } => Ok(Lane::Overlay(&self.overlay[start..end])),
+            Bound::General(i) => Ok(Lane::General(&self.general[i])),
+            Bound::Failed(i) => Err(self.errors[i].clone()),
+        }
+    }
+}
+
+/// One scenario change with its class resolved to a universe slot — the
+/// form the overlay composition rules read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SlotChange {
+    /// Divide `PMf` by `factor >= 1` on one slot.
+    ImproveMachine {
+        /// The universe index.
+        slot: u32,
+        /// The division factor.
+        factor: f64,
+    },
+    /// Set `PMf` on one slot.
+    SetMachineFailure {
+        /// The universe index.
+        slot: u32,
+        /// The new machine failure probability.
+        p_mf: Probability,
+    },
+    /// Replace both reader conditionals on one slot.
+    SetReader {
+        /// The universe index.
+        slot: u32,
+        /// New `PHf|Ms`.
+        p_hf_given_ms: Probability,
+        /// New `PHf|Mf`.
+        p_hf_given_mf: Probability,
+    },
+    /// A change to every slot, or an adaptation response: the scenario
+    /// takes the general path.
+    WholeTable,
+}
+
+/// How one scenario of a [`CompiledScenarios`] is held.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Bound {
+    /// `overlay[start..end]`.
+    Overlay { start: usize, end: usize },
+    /// `general[i]`.
+    General(usize),
+    /// `errors[i]`.
+    Failed(usize),
+}
+
+/// A scenario sweep bound to one [`CompiledModel`] — the scenario
+/// counterpart of [`CompiledProfile`], built by
+/// [`CompiledModel::bind_scenarios`] or [`CompiledScenarios::push`] and
+/// evaluated by [`CompiledModel::evaluate_bound_scenarios`].
+///
+/// Each scenario is held in flat arrays as one of:
+///
+/// * a run of `(slot, final ClassParams)` overlay entries, changes to one
+///   class composed in order — when it has only targeted changes and no
+///   adaptation;
+/// * the whole [`Scenario`], kept for the general path;
+/// * the first [`ModelError`] evaluating it would raise.
+///
+/// Errors are stored, not returned, so they surface at evaluation,
+/// lowest-indexed scenario first, as [`CompiledModel::evaluate_scenarios`]
+/// raises them. The overlay holds the binding model's parameters: a sweep
+/// is evaluated only on the model that bound it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledScenarios {
+    universe: Arc<ClassUniverse>,
+    bound: Vec<Bound>,
+    overlay: Vec<(u32, ClassParams)>,
+    general: Vec<Scenario>,
+    errors: Vec<ModelError>,
+}
+
+impl CompiledScenarios {
+    /// An empty sweep bound to `model`, with room for `scenarios`
+    /// single-change scenarios.
+    #[must_use]
+    pub fn with_capacity(model: &CompiledModel, scenarios: usize) -> Self {
+        CompiledScenarios {
+            universe: Arc::clone(&model.universe),
+            bound: Vec::with_capacity(scenarios),
+            overlay: Vec::with_capacity(scenarios),
+            general: Vec::new(),
+            errors: Vec::new(),
+        }
+    }
+
+    /// Appends one scenario given as resolved changes, in order; a
+    /// resolution failure is an `Err` item where the change stands. The
+    /// changes run through the overlay composition rules; `whole` builds
+    /// the full [`Scenario`] only when they send it down the general path.
+    ///
+    /// # Panics
+    ///
+    /// If `model` is not the model this sweep is bound to, or a slot lies
+    /// outside its universe.
+    pub fn push(
+        &mut self,
+        model: &CompiledModel,
+        changes: impl IntoIterator<Item = Result<SlotChange, ModelError>>,
+        whole: impl FnOnce() -> Scenario,
+    ) {
+        assert!(
+            Arc::ptr_eq(&self.universe, &model.universe),
+            "a sweep is bound to one model"
+        );
+        let start = self.overlay.len();
+        let bound = match model.compose_overlay(changes, &mut self.overlay) {
+            Ok(true) => Bound::Overlay {
+                start,
+                end: self.overlay.len(),
+            },
+            Ok(false) => {
+                self.overlay.truncate(start);
+                self.general.push(whole());
+                Bound::General(self.general.len() - 1)
+            }
+            Err(e) => {
+                self.overlay.truncate(start);
+                self.errors.push(e);
+                Bound::Failed(self.errors.len() - 1)
+            }
+        };
+        self.bound.push(bound);
+    }
+
+    /// The scenarios of `parts`, all bound to one model, back to back in
+    /// one sweep sized up front; `None` when there are no parts.
+    ///
+    /// # Panics
+    ///
+    /// If the parts are bound to different universes.
+    #[must_use]
+    pub fn concat(parts: &[&CompiledScenarios]) -> Option<CompiledScenarios> {
+        let first = parts.first()?;
+        let mut all = CompiledScenarios {
+            universe: Arc::clone(&first.universe),
+            bound: Vec::with_capacity(parts.iter().map(|p| p.bound.len()).sum()),
+            overlay: Vec::with_capacity(parts.iter().map(|p| p.overlay.len()).sum()),
+            general: Vec::new(),
+            errors: Vec::new(),
+        };
+        for part in parts {
+            assert!(
+                Arc::ptr_eq(&all.universe, &part.universe),
+                "concatenated sweeps are bound to one model"
+            );
+            let (o, g, e) = (all.overlay.len(), all.general.len(), all.errors.len());
+            all.bound.extend(part.bound.iter().map(|b| match *b {
+                Bound::Overlay { start, end } => Bound::Overlay {
+                    start: start + o,
+                    end: end + o,
+                },
+                Bound::General(i) => Bound::General(i + g),
+                Bound::Failed(i) => Bound::Failed(i + e),
+            }));
+            all.overlay.extend_from_slice(&part.overlay);
+            all.general.extend_from_slice(&part.general);
+            all.errors.extend_from_slice(&part.errors);
+        }
+        Some(all)
+    }
+
+    /// Number of scenarios.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bound.len()
+    }
+
+    /// Whether the sweep holds no scenarios.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bound.is_empty()
+    }
 }
 
 /// The §3 parallel-detection model compiled to dense per-class storage.
@@ -937,7 +1243,6 @@ impl CompiledDetectionModel {
 mod tests {
     use super::*;
     use crate::paper;
-    use crate::ClassId;
 
     #[test]
     fn compile_aligns_universe_and_slots() {

@@ -88,7 +88,9 @@ pub mod tradeoff;
 pub mod uncertainty;
 
 pub use class::{ClassId, ClassUniverse, UniverseManifest};
-pub use compiled::{CompiledDetectionModel, CompiledModel, CompiledProfile};
+pub use compiled::{
+    CompiledDetectionModel, CompiledModel, CompiledProfile, CompiledScenarios, SlotChange,
+};
 pub use error::ModelError;
 pub use parallel::{DetectionParams, ParallelDetectionModel};
 pub use params::{ClassParams, ModelParams};

@@ -252,29 +252,73 @@ proptest! {
                 (0..n).map(|i| pool[i % pool.len()].clone()).collect();
             let lane = compiled.evaluate_scenarios(&batch, &bound).unwrap();
             prop_assert_eq!(lane.len(), n);
-            // Scalar reference: a single-scenario batch is below one lane
-            // block, so it always takes the remainder-tail (scalar) path.
+            // Scalar reference: every lane, tail lanes included, against
+            // the map path evaluating the scenario alone.
             for (i, (scenario, fast)) in batch.iter().zip(&lane).enumerate() {
-                let scalar = compiled
-                    .evaluate_scenarios(std::slice::from_ref(scenario), &bound)
-                    .unwrap()[0];
+                let applied = scenario.apply(&sys.model).unwrap();
+                let scalar = map_system_failure(&applied, &sys.profile);
                 prop_assert_eq!(
                     fast.value().to_bits(),
-                    scalar.value().to_bits(),
+                    scalar.to_bits(),
                     "n={} lane={}", n, i
                 );
             }
+            let sweep = compiled.bind_scenarios(&batch);
+            prop_assert_eq!(sweep.len(), n);
             for threads in [1usize, 2, 7] {
                 let par = compiled
                     .evaluate_scenarios_par(&batch, &bound, threads)
                     .unwrap();
+                let bound_sweep = compiled
+                    .evaluate_bound_scenarios(&sweep, &bound, threads)
+                    .unwrap();
                 prop_assert_eq!(par.len(), n);
-                for (i, (pv, sv)) in par.iter().zip(&lane).enumerate() {
+                prop_assert_eq!(bound_sweep.len(), n);
+                for (i, ((pv, bv), sv)) in par.iter().zip(&bound_sweep).zip(&lane).enumerate() {
                     prop_assert_eq!(
                         pv.value().to_bits(),
                         sv.value().to_bits(),
                         "threads={} n={} lane={}", threads, n, i
                     );
+                    prop_assert_eq!(
+                        bv.value().to_bits(),
+                        sv.value().to_bits(),
+                        "bound sweep: threads={} n={} lane={}", threads, n, i
+                    );
+                }
+            }
+            // The same pool with failing scenarios mid-block: the bound
+            // sweep stores overlay-path errors at binding, the in-process
+            // path raises them in the worker, and general-path errors come
+            // from the general pass on both. Every path must report the
+            // lowest-indexed one.
+            if n > SCENARIO_LANES {
+                let failing = [
+                    Scenario::new().improve_machine(ClassId::new("ghost"), factor),
+                    Scenario::new().improve_machine(ClassId::new("alpha"), 0.5),
+                    Scenario::new().improve_machine_everywhere(0.5),
+                ];
+                for (k, bad) in failing.iter().enumerate() {
+                    let mut faulty = batch.clone();
+                    let first = SCENARIO_LANES / 2 + k;
+                    faulty[first] = bad.clone();
+                    faulty[n - 1] = failing[(k + 1) % failing.len()].clone();
+                    let want = compiled.evaluate_scenarios(&faulty, &bound).unwrap_err();
+                    let alone = compiled
+                        .evaluate_scenarios(std::slice::from_ref(bad), &bound)
+                        .unwrap_err();
+                    prop_assert_eq!(&want, &alone, "n={} k={}", n, k);
+                    let sweep = compiled.bind_scenarios(&faulty);
+                    for threads in [1usize, 2, 7] {
+                        let par = compiled.evaluate_scenarios_par(&faulty, &bound, threads);
+                        let bound_sweep = compiled.evaluate_bound_scenarios(&sweep, &bound, threads);
+                        prop_assert_eq!(par, Err(want.clone()), "threads={} n={} k={}", threads, n, k);
+                        prop_assert_eq!(
+                            bound_sweep,
+                            Err(want.clone()),
+                            "bound sweep: threads={} n={} k={}", threads, n, k
+                        );
+                    }
                 }
             }
         }

@@ -589,7 +589,7 @@ impl EventLoop {
     /// Routes one complete request line from client `c`.
     fn route_request(&mut self, c: usize, line: &str) {
         let peeked = wire::peek(line);
-        match peeked.verb {
+        match peeked.verb.as_deref() {
             Some("metrics") => {
                 let reply = self.metrics_line(peeked.id_raw);
                 if let Some(conn) = self.clients[c].as_mut() {

@@ -203,11 +203,11 @@ where
     } else {
         let init = &init;
         let task = &task;
-        crossbeam::thread::scope(|thread_scope| {
+        std::thread::scope(|thread_scope| {
             let handles: Vec<_> = split_evenly(tasks, threads)
                 .into_iter()
                 .map(|range| {
-                    thread_scope.spawn(move |_| {
+                    thread_scope.spawn(move || {
                         let worker_start = observing.then(Instant::now);
                         let quota = range.end - range.start;
                         let mut acc = init();
@@ -232,7 +232,6 @@ where
             }
             (acc, sink)
         })
-        .expect("parallel scope panicked")
     };
     if let Some(start) = wall {
         let wall_ns = elapsed_ns(start);

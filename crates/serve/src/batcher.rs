@@ -8,7 +8,8 @@
 //! * profile evaluations against the same compiled model become one
 //!   [`CompiledModel::evaluate_profiles_par`] call;
 //! * scenario batches against the same model *and* profile become one
-//!   [`CompiledModel::evaluate_scenarios_par`] call;
+//!   [`CompiledModel::evaluate_bound_scenarios`] call over their bound
+//!   sweeps, concatenated as flat arrays;
 //! * everything else ([`Work::Direct`]) runs inline.
 //!
 //! Under light load a request flows through alone (batch of one); under
@@ -40,8 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hmdiv_core::extrapolate::Scenario;
-use hmdiv_core::{CompiledModel, CompiledProfile};
+use hmdiv_core::{CompiledModel, CompiledProfile, CompiledScenarios};
 use hmdiv_obs::{Stage, StageSet};
 use hmdiv_prob::Probability;
 
@@ -64,8 +64,8 @@ pub enum Work {
         model: Arc<CompiledModel>,
         /// The bound profile the scenarios are judged against.
         profile: CompiledProfile,
-        /// The scenarios to evaluate, in order.
-        scenarios: Vec<Scenario>,
+        /// The scenarios to evaluate, in order, bound to `model`.
+        scenarios: CompiledScenarios,
     },
     /// Arbitrary work that runs inline on the executor thread (importance
     /// rankings, cohort evaluations, detection-model evaluations).
@@ -491,7 +491,7 @@ fn flush(batch: Vec<Pending>, threads: usize) {
     type ScenarioGroup = (
         Arc<CompiledModel>,
         CompiledProfile,
-        Vec<(Vec<Scenario>, ReplyHandle)>,
+        Vec<(CompiledScenarios, ReplyHandle)>,
     );
     let now = Instant::now();
     let mut profile_groups: Vec<ProfileGroup> = Vec::new();
@@ -563,17 +563,20 @@ fn flush(batch: Vec<Pending>, threads: usize) {
     }
 
     for (model, profile, jobs) in scenario_groups {
-        let mut all = Vec::with_capacity(jobs.iter().map(|(s, _)| s.len()).sum());
         let mut ranges = Vec::with_capacity(jobs.len());
+        let mut start = 0;
         for (scenarios, _) in &jobs {
-            let start = all.len();
-            all.extend(scenarios.iter().cloned());
-            ranges.push(start..all.len());
+            ranges.push(start..start + scenarios.len());
+            start += scenarios.len();
         }
+        let parts: Vec<&CompiledScenarios> = jobs.iter().map(|(s, _)| s).collect();
+        let Some(all) = CompiledScenarios::concat(&parts) else {
+            continue;
+        };
         let traces: Vec<Option<Arc<StageSet>>> =
             jobs.iter().map(|(_, h)| h.trace.clone()).collect();
         let eval_start = Instant::now();
-        match model.evaluate_scenarios_par(&all, &profile, group_threads(all.len(), threads)) {
+        match model.evaluate_bound_scenarios(&all, &profile, group_threads(all.len(), threads)) {
             Ok(failures) => {
                 stamp_group(&traces, now, eval_start, Instant::now(), all.len() as u64);
                 for ((_, h), range) in jobs.into_iter().zip(ranges) {
@@ -587,7 +590,7 @@ fn flush(batch: Vec<Pending>, threads: usize) {
                 stamp_group(&traces, now, eval_start, Instant::now(), all.len() as u64);
                 for (scenarios, h) in jobs {
                     let result = model
-                        .evaluate_scenarios(&scenarios, &profile)
+                        .evaluate_bound_scenarios(&scenarios, &profile, 1)
                         .map(Outcome::Many)
                         .map_err(ServeError::Model);
                     reply(h, result);
@@ -600,6 +603,7 @@ fn flush(batch: Vec<Pending>, threads: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmdiv_core::extrapolate::Scenario;
     use hmdiv_core::paper;
     use hmdiv_core::ClassId;
     use std::sync::mpsc;
@@ -724,7 +728,7 @@ mod tests {
                 Work::Scenarios {
                     model: Arc::clone(&model),
                     profile: profile.clone(),
-                    scenarios: scenarios[..3].to_vec(),
+                    scenarios: model.bind_scenarios(&scenarios[..3]),
                 },
                 3,
                 None,
@@ -737,7 +741,7 @@ mod tests {
                 Work::Scenarios {
                     model: Arc::clone(&model),
                     profile: profile.clone(),
-                    scenarios: scenarios[3..].to_vec(),
+                    scenarios: model.bind_scenarios(&scenarios[3..]),
                 },
                 3,
                 None,
@@ -767,7 +771,7 @@ mod tests {
                 Work::Scenarios {
                     model: Arc::clone(&model),
                     profile: profile.clone(),
-                    scenarios: good,
+                    scenarios: model.bind_scenarios(&good),
                 },
                 1,
                 None,
@@ -780,7 +784,7 @@ mod tests {
                 Work::Scenarios {
                     model: Arc::clone(&model),
                     profile,
-                    scenarios: bad,
+                    scenarios: model.bind_scenarios(&bad),
                 },
                 1,
                 None,

@@ -25,24 +25,33 @@
 //!
 //! The server decodes each line once with [`decode_request`]: the
 //! envelope and body parse into a [`Json`] tree as in [`parse_request`],
-//! except the top-level `scenarios` member, which decodes straight into
-//! `Vec<Scenario>` — a 1,000-scenario sweep no longer builds and drops a
-//! tree of several heap objects per scenario. The decoder follows
+//! except the top-level `scenarios` member, which decodes flat into a
+//! [`FlatScenarios`] — its distinct class names, interned once per
+//! request; one fixed-size entry per change; and the scenario end
+//! offsets. No scenario object is built per scenario. The decoder follows
 //! `Json::get` semantics (the first duplicate key wins, unknown members
 //! are ignored but still validated). Any shape it does not accept is
 //! rewound and parsed as a tree, so [`parse_scenarios`] stays the only
-//! source of scenario errors and their precedence is unchanged: JSON
-//! syntax, then model binding, then scenario shape. [`parse_request`] and
+//! source of scenario shape errors and their precedence is unchanged:
+//! JSON syntax, then model binding, then scenario shape.
+//!
+//! [`Request::bind_scenarios`] then binds the list to the model: each
+//! distinct name is resolved once and the result is a
+//! [`CompiledScenarios`] the batcher and lane kernel read directly. Model
+//! errors (unknown classes, bad factors) are stored in it, not returned,
+//! so they still surface at evaluation. [`Request::take_scenarios`] keeps
+//! returning `Vec<Scenario>` for clients and tests. [`parse_request`] and
 //! the `parse_*` extractors remain the public tree API for clients,
 //! tools and the fleet router.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 use hmdiv_core::cohort::CohortMember;
 use hmdiv_core::extrapolate::Scenario;
 use hmdiv_core::{
-    ClassId, ClassParams, DemandProfile, DetectionParams, ModelParams, SequentialModel,
-    UniverseManifest,
+    ClassId, ClassParams, CompiledModel, CompiledScenarios, DemandProfile, DetectionParams,
+    ModelError, ModelParams, SequentialModel, SlotChange, UniverseManifest,
 };
 use hmdiv_prob::Probability;
 
@@ -231,14 +240,14 @@ pub struct Request {
     /// The envelope. When [`Request::scenarios`] is `Some`, the body lacks
     /// the `scenarios` member the list was decoded from.
     pub envelope: Envelope,
-    /// The body's `scenarios` list, decoded without building a tree —
+    /// The body's `scenarios` list, decoded flat without building a tree —
     /// present only when the member has a shape [`parse_scenarios`]
     /// accepts.
-    pub scenarios: Option<Vec<Scenario>>,
+    pub scenarios: Option<FlatScenarios>,
 }
 
 impl Request {
-    /// The `scenarios` list: the typed decode when there is one, else
+    /// The `scenarios` list: the flat decode when there is one, else
     /// [`parse_scenarios`] over the body, which stays the only source of
     /// scenario errors.
     ///
@@ -247,14 +256,145 @@ impl Request {
     /// As [`parse_scenarios`].
     pub fn take_scenarios(&mut self) -> Result<Vec<Scenario>, ServeError> {
         match self.scenarios.take() {
-            Some(list) => Ok(list),
+            Some(flat) => Ok(flat.scenarios().map(|s| flat.scenario(s)).collect()),
             None => parse_scenarios(&self.envelope.body),
+        }
+    }
+
+    /// The `scenarios` list bound to `model`: the flat decode resolves each
+    /// distinct class name once, the tree path binds through
+    /// [`CompiledModel::bind_scenarios`]. Either way the sweep stores, not
+    /// returns, the model errors its scenarios would raise.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse_scenarios`].
+    pub fn bind_scenarios(
+        &mut self,
+        model: &CompiledModel,
+    ) -> Result<CompiledScenarios, ServeError> {
+        match self.scenarios.take() {
+            Some(flat) => Ok(flat.bind(model)),
+            None => Ok(model.bind_scenarios(&parse_scenarios(&self.envelope.body)?)),
         }
     }
 }
 
+/// A `scenarios` list decoded flat: its distinct class names, each stored
+/// once; one fixed-size entry per change, naming its class by index; and
+/// each scenario's end offset into the changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatScenarios {
+    names: Vec<String>,
+    changes: Vec<FlatChange>,
+    ends: Vec<usize>,
+}
+
+/// One change of a [`FlatScenarios`]: a wire op with its class as an index
+/// into the names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FlatChange {
+    ImproveMachine {
+        class: u32,
+        factor: f64,
+    },
+    ImproveMachineEverywhere {
+        factor: f64,
+    },
+    SetMachineFailure {
+        class: u32,
+        p_mf: Probability,
+    },
+    SetReader {
+        class: u32,
+        p_hf_given_ms: Probability,
+        p_hf_given_mf: Probability,
+    },
+    ScaleReaderEverywhere {
+        factor: f64,
+    },
+}
+
+impl FlatScenarios {
+    /// Each scenario's changes, in order.
+    fn scenarios(&self) -> impl Iterator<Item = &[FlatChange]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let changes = &self.changes[start..end];
+            start = end;
+            changes
+        })
+    }
+
+    /// One scenario as the tree path would build it.
+    fn scenario(&self, changes: &[FlatChange]) -> Scenario {
+        let class = |i: u32| ClassId::new(&self.names[i as usize]);
+        changes
+            .iter()
+            .fold(Scenario::new(), |scenario, change| match *change {
+                FlatChange::ImproveMachine { class: i, factor } => {
+                    scenario.improve_machine(class(i), factor)
+                }
+                FlatChange::ImproveMachineEverywhere { factor } => {
+                    scenario.improve_machine_everywhere(factor)
+                }
+                FlatChange::SetMachineFailure { class: i, p_mf } => {
+                    scenario.set_machine_failure(class(i), p_mf)
+                }
+                FlatChange::SetReader {
+                    class: i,
+                    p_hf_given_ms,
+                    p_hf_given_mf,
+                } => scenario.set_reader(class(i), p_hf_given_ms, p_hf_given_mf),
+                FlatChange::ScaleReaderEverywhere { factor } => {
+                    scenario.scale_reader_everywhere(factor)
+                }
+            })
+    }
+
+    /// Binds the list to `model`, resolving each distinct name once.
+    fn bind(&self, model: &CompiledModel) -> CompiledScenarios {
+        let slots: Vec<Result<u32, ModelError>> = self
+            .names
+            .iter()
+            .map(|name| model.universe().resolve(name))
+            .collect();
+        let slot = |class: u32| slots[class as usize].clone();
+        let mut sweep = CompiledScenarios::with_capacity(model, self.ends.len());
+        for changes in self.scenarios() {
+            let resolved = changes.iter().map(|change| {
+                Ok(match *change {
+                    FlatChange::ImproveMachine { class, factor } => SlotChange::ImproveMachine {
+                        slot: slot(class)?,
+                        factor,
+                    },
+                    FlatChange::SetMachineFailure { class, p_mf } => {
+                        SlotChange::SetMachineFailure {
+                            slot: slot(class)?,
+                            p_mf,
+                        }
+                    }
+                    FlatChange::SetReader {
+                        class,
+                        p_hf_given_ms,
+                        p_hf_given_mf,
+                    } => SlotChange::SetReader {
+                        slot: slot(class)?,
+                        p_hf_given_ms,
+                        p_hf_given_mf,
+                    },
+                    FlatChange::ImproveMachineEverywhere { .. }
+                    | FlatChange::ScaleReaderEverywhere { .. } => SlotChange::WholeTable,
+                })
+            });
+            sweep.push(model, resolved, || self.scenario(changes));
+        }
+        sweep
+    }
+}
+
 /// Parses one request line like [`parse_request`], decoding the body's
-/// first top-level `scenarios` member straight into typed scenarios
+/// first top-level `scenarios` member straight into a [`FlatScenarios`]
 /// instead of a [`Json`] tree.
 ///
 /// A member whose shape [`parse_scenarios`] would reject — an empty batch,
@@ -614,31 +754,56 @@ const CHANGE_FIELDS: [&str; 6] = [
 
 /// Decodes a `scenarios` value into the list [`parse_scenarios`] would
 /// return for it, or `None` when it would return an error.
-fn decode_scenarios(value: Cursor<'_, '_>) -> Option<Vec<Scenario>> {
-    let mut list = Vec::new();
+fn decode_scenarios(value: Cursor<'_, '_>) -> Option<FlatScenarios> {
+    let mut names = Names::default();
+    let mut changes = Vec::new();
+    let mut ends = Vec::new();
     value
         .array(|scenario| {
-            list.push(decode_scenario(scenario)?);
+            scenario.array(|change| {
+                changes.push(decode_change(change, &mut names)?);
+                Ok::<(), Mismatch>(())
+            })?;
+            ends.push(changes.len());
             Ok::<(), Mismatch>(())
         })
         .ok()?;
-    (!list.is_empty()).then_some(list)
+    (!ends.is_empty()).then(|| FlatScenarios {
+        names: names.into_table(),
+        changes,
+        ends,
+    })
 }
 
-fn decode_scenario(value: Cursor<'_, '_>) -> Result<Scenario, Mismatch> {
-    let mut scenario = Scenario::new();
-    value.array(|change| {
-        scenario = decode_change(change, std::mem::take(&mut scenario))?;
-        Ok::<(), Mismatch>(())
-    })?;
-    Ok(scenario)
+/// The per-request class-name table: each distinct name is stored once
+/// and changes refer to it by index. It keeps the default (keyed) hasher
+/// because the names come from clients.
+#[derive(Default)]
+struct Names<'a> {
+    index: HashMap<Cow<'a, str>, u32>,
 }
 
-/// Appends one change object to `scenario`. Like `Json::get`, the first
-/// occurrence of a key wins; later duplicates and unknown members are
-/// validated and skipped.
-fn decode_change(value: Cursor<'_, '_>, scenario: Scenario) -> Result<Scenario, Mismatch> {
-    let mut fields: [Option<Scalar<'_>>; 6] = Default::default();
+impl<'a> Names<'a> {
+    fn intern(&mut self, name: Cow<'a, str>) -> Result<u32, Mismatch> {
+        let next = u32::try_from(self.index.len()).map_err(|_| Mismatch)?;
+        Ok(*self.index.entry(name).or_insert(next))
+    }
+
+    /// The names in index order.
+    fn into_table(self) -> Vec<String> {
+        let mut table = vec![String::new(); self.index.len()];
+        for (name, i) in self.index {
+            table[i as usize] = name.into_owned();
+        }
+        table
+    }
+}
+
+/// Decodes one change object. Like `Json::get`, the first occurrence of a
+/// key wins; later duplicates and unknown members are validated and
+/// skipped.
+fn decode_change<'a>(value: Cursor<'a, '_>, names: &mut Names<'a>) -> Result<FlatChange, Mismatch> {
+    let mut fields: [Option<Scalar<'a>>; 6] = Default::default();
     value.object(|key, member| {
         match CHANGE_FIELDS.iter().position(|f| *f == key) {
             Some(i) if fields[i].is_none() => fields[i] = Some(Scalar::read(member)?),
@@ -648,7 +813,7 @@ fn decode_change(value: Cursor<'_, '_>, scenario: Scenario) -> Result<Scenario, 
     })?;
     let [op, class, factor, p_mf, p_hf_given_ms, p_hf_given_mf] = fields;
     let class = || match class {
-        Some(Scalar::Str(name)) => Ok(ClassId::new(name)),
+        Some(Scalar::Str(name)) => names.intern(name),
         _ => Err(Mismatch),
     };
     let num = |field: Option<Scalar<'_>>| match field {
@@ -660,11 +825,25 @@ fn decode_change(value: Cursor<'_, '_>, scenario: Scenario) -> Result<Scenario, 
         return Err(Mismatch);
     };
     Ok(match &*op {
-        "improve_machine" => scenario.improve_machine(class()?, num(factor)?),
-        "improve_machine_everywhere" => scenario.improve_machine_everywhere(num(factor)?),
-        "set_machine_failure" => scenario.set_machine_failure(class()?, prob(p_mf)?),
-        "set_reader" => scenario.set_reader(class()?, prob(p_hf_given_ms)?, prob(p_hf_given_mf)?),
-        "scale_reader_everywhere" => scenario.scale_reader_everywhere(num(factor)?),
+        "improve_machine" => FlatChange::ImproveMachine {
+            class: class()?,
+            factor: num(factor)?,
+        },
+        "improve_machine_everywhere" => FlatChange::ImproveMachineEverywhere {
+            factor: num(factor)?,
+        },
+        "set_machine_failure" => FlatChange::SetMachineFailure {
+            class: class()?,
+            p_mf: prob(p_mf)?,
+        },
+        "set_reader" => FlatChange::SetReader {
+            class: class()?,
+            p_hf_given_ms: prob(p_hf_given_ms)?,
+            p_hf_given_mf: prob(p_hf_given_mf)?,
+        },
+        "scale_reader_everywhere" => FlatChange::ScaleReaderEverywhere {
+            factor: num(factor)?,
+        },
         _ => return Err(Mismatch),
     })
 }

@@ -992,7 +992,7 @@ fn route(
         }
         "scenarios" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
-            let scenarios = request.take_scenarios()?;
+            let scenarios = request.bind_scenarios(&compiled)?;
             // Admission cost: one scalar evaluation per scenario, so a
             // bulk batch cannot monopolize a flush window for free.
             let cost = scenarios.len();
@@ -1015,11 +1015,12 @@ fn route(
         "extrapolate" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
             let scenario = protocol::parse_scenario(protocol::required(body, "scenario")?)?;
+            let scenarios = compiled.bind_scenarios(&[Scenario::new(), scenario]);
             let ticket = ctx.batcher.submit(
                 Work::Scenarios {
                     model: compiled,
                     profile: bound,
-                    scenarios: vec![Scenario::new(), scenario],
+                    scenarios,
                 },
                 2,
                 deadline,

@@ -1,12 +1,18 @@
 //! Differential check of the one-pass request decode against the tree
 //! path: on a deterministic mutational corpus, `protocol::decode_request`
-//! (which decodes `scenarios` straight into typed scenarios) must agree
-//! with `json::parse` + `protocol::parse_request` + `parse_scenarios` on
+//! (which decodes `scenarios` flat, without a tree) must agree with
+//! `json::parse` + `protocol::parse_request` + `parse_scenarios` on
 //! acceptance, on every error — JSON errors down to the detail and byte
 //! offset — on the rest of the body, and on the scenarios themselves, bit
-//! for bit.
+//! for bit. Every decoded list is also bound to one fixed model the way
+//! the server binds it and through `CompiledModel::bind_scenarios`; both
+//! sweeps must evaluate to the same bits or the same `ModelError`.
+
+use std::sync::Arc;
 
 use hmdiv_core::extrapolate::{Change, Scenario};
+use hmdiv_core::{ClassParams, CompiledModel, CompiledProfile, DemandProfile, ModelParams};
+use hmdiv_prob::Probability;
 use hmdiv_serve::{json, protocol, Json, ServeError};
 use rand::Rng as _;
 
@@ -123,6 +129,56 @@ fn assert_bits_eq(tree: &[Scenario], typed: &[Scenario], line: &str) {
     }
 }
 
+/// The model every decoded list is bound to: the seeds' `easy`,
+/// `difficult` and `a`, so mutants mix resolvable and unknown classes.
+fn fixed_model() -> (Arc<CompiledModel>, CompiledProfile) {
+    let p = |v: f64| Probability::new(v).expect("in [0, 1]");
+    let mut params = ModelParams::builder();
+    let mut profile = DemandProfile::builder();
+    for (i, name) in ["easy", "difficult", "a"].into_iter().enumerate() {
+        let f = i as f64 / 4.0;
+        params = params.class(
+            name,
+            ClassParams::new(p(0.07 + f), p(0.14 + f), p(0.18 + f)),
+        );
+        profile = profile.class(name, 1.0 + f);
+    }
+    let model = hmdiv_core::SequentialModel::new(params.build().expect("three classes"));
+    let compiled = Arc::clone(model.compiled());
+    let profile = profile.build().expect("positive weights");
+    let bound = compiled
+        .bind_profile(&profile)
+        .expect("the model's classes");
+    (compiled, bound)
+}
+
+/// Binds a typed-path decode the server's way (the flat decode) and
+/// through `bind_scenarios` over the scenarios it yields; asserts both
+/// sweeps, and the in-process evaluation, agree bit for bit or on the
+/// error.
+fn assert_binds_agree(request: &protocol::Request, scenarios: &[Scenario], line: &str) {
+    let (model, profile) = fixed_model();
+    let flat = request
+        .clone()
+        .bind_scenarios(&model)
+        .expect("a typed decode binds");
+    let via_list = model.bind_scenarios(scenarios);
+    let bits = |r: Result<Vec<Probability>, hmdiv_core::ModelError>| {
+        r.map(|v| v.iter().map(|p| p.value().to_bits()).collect::<Vec<u64>>())
+    };
+    let served = bits(model.evaluate_bound_scenarios(&flat, &profile, 1));
+    assert_eq!(
+        served,
+        bits(model.evaluate_bound_scenarios(&via_list, &profile, 1)),
+        "{line}"
+    );
+    assert_eq!(
+        served,
+        bits(model.evaluate_scenarios(scenarios, &profile)),
+        "{line}"
+    );
+}
+
 /// What happened to one line, for the corpus-coverage check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
@@ -177,10 +233,12 @@ fn check(line: &str) -> Verdict {
     assert_eq!(request.envelope.trace_id, env.trace_id, "{line}");
 
     let tree = protocol::parse_scenarios(&env.body);
+    let decoded = request.clone();
     match (tree, request.take_scenarios()) {
         (Ok(a), Ok(b)) => {
             assert_bits_eq(&a, &b, line);
             if typed_path {
+                assert_binds_agree(&decoded, &b, line);
                 Verdict::Typed
             } else {
                 panic!("{line}: accepted scenarios the typed path declined")
