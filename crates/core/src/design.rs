@@ -240,10 +240,10 @@ fn prune_slop(classes: usize) -> f64 {
 /// selection rule over them picks the **bit-identical** winner; only the
 /// evaluation count changes (see [`PruneStats`]).
 ///
-/// `threads > 1` evaluates survivors in contiguous chunks across that
-/// many OS threads; the batch kernel is bit-identical per candidate
-/// regardless of batch composition, so the result does not depend on
-/// `threads`.
+/// `threads > 1` evaluates survivors in contiguous chunks on up to that
+/// many `hmdiv_prob::par` workers; the batch kernel is bit-identical per
+/// candidate regardless of batch composition, so the result does not
+/// depend on `threads`.
 ///
 /// # Errors
 ///
@@ -335,9 +335,10 @@ pub fn allocate_improvement_budget_pruned(
 }
 
 /// Evaluates candidate patches through the lane-blocked batch kernel,
-/// split into contiguous chunks across `threads` OS threads. Per-candidate
-/// results are independent of batch composition, so the concatenation is
-/// bit-identical to a single-threaded call.
+/// split into one contiguous chunk per thread and run as `hmdiv_prob::par`
+/// tasks, so each chunk reaches the kernel whole. Per-candidate results
+/// are independent of batch composition, and chunks merge in task order,
+/// so the concatenation is bit-identical to a single-threaded call.
 fn evaluate_chunked(
     compiled: &CompiledModel,
     bound: &crate::compiled::CompiledProfile,
@@ -348,17 +349,17 @@ fn evaluate_chunked(
         return compiled.system_failure_patched_batch(bound, candidates);
     }
     let chunk = candidates.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || compiled.system_failure_patched_batch(bound, part)))
-            .collect();
-        let mut out = Vec::with_capacity(candidates.len());
-        for handle in handles {
-            out.extend(handle.join().expect("prune evaluation worker panicked"));
-        }
-        out
-    })
+    let chunks: Vec<&[(u32, ClassParams)]> = candidates.chunks(chunk).collect();
+    hmdiv_prob::par::run_tasks_scoped(
+        "core.design.prune",
+        0,
+        chunks.len() as u64,
+        threads,
+        Vec::new,
+        |id, _rng, out: &mut Vec<hmdiv_prob::Probability>| {
+            out.extend(compiled.system_failure_patched_batch(bound, chunks[id as usize]));
+        },
+    )
 }
 
 #[cfg(test)]
@@ -522,6 +523,30 @@ mod tests {
                     stats.evaluated < stats.candidates,
                     "pruning never fired: {stats:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_evaluation_is_bit_identical_at_any_thread_count() {
+        let (model, profile) = synthetic(23);
+        let compiled = model.compiled();
+        let bound = compiled.bind_profile(&profile).unwrap();
+        let candidates: Vec<(u32, ClassParams)> = bound
+            .iter()
+            .map(|(idx, _)| {
+                let improved = compiled.params_at(idx).with_machine_improved(3.0);
+                (idx, improved.unwrap())
+            })
+            .collect();
+        let bits = |v: Vec<hmdiv_prob::Probability>| -> Vec<u64> {
+            v.iter().map(|p| p.value().to_bits()).collect()
+        };
+        let serial = bits(compiled.system_failure_patched_batch(&bound, &candidates));
+        for len in [0, 1, 2, 9, candidates.len()] {
+            for threads in [1, 2, 3, 7, 64] {
+                let chunked = evaluate_chunked(compiled, &bound, &candidates[..len], threads);
+                assert_eq!(bits(chunked), serial[..len], "len={len} threads={threads}");
             }
         }
     }

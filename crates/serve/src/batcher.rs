@@ -562,7 +562,28 @@ fn flush(batch: Vec<Pending>, threads: usize) {
         }
     }
 
-    for (model, profile, jobs) in scenario_groups {
+    for (model, profile, mut jobs) in scenario_groups {
+        if jobs.len() == 1 {
+            // A group of one evaluates its own sweep: no concatenated copy,
+            // and its error is its own (the lowest-indexed one at any
+            // thread count), so there is nothing to re-run.
+            let (scenarios, h) = jobs.remove(0);
+            let eval_start = Instant::now();
+            let result = model.evaluate_bound_scenarios(
+                &scenarios,
+                &profile,
+                group_threads(scenarios.len(), threads),
+            );
+            stamp_group(
+                std::slice::from_ref(&h.trace),
+                now,
+                eval_start,
+                Instant::now(),
+                scenarios.len() as u64,
+            );
+            reply(h, result.map(Outcome::Many).map_err(ServeError::Model));
+            continue;
+        }
         let mut ranges = Vec::with_capacity(jobs.len());
         let mut start = 0;
         for (scenarios, _) in &jobs {

@@ -10,8 +10,13 @@
 //!   [`hmdiv_core::DemandProfile`] accumulates eq. (8) in *insertion*
 //!   order — preserving wire order end to end is what makes server results
 //!   bit-identical to direct in-process evaluation.
-//! * **Numbers round-trip.** Finite `f64`s render via Rust's shortest
-//!   round-trip `Display`, so `parse(render(x)) == x` bit-for-bit.
+//! * **Numbers round-trip.** A finite `f64` renders as the shortest
+//!   decimal that parses back to it, so `parse(render(x)) == x` bit for
+//!   bit. The digits come from a private Ryu writer rather than
+//!   `core::fmt`, at about half the cost, and are byte for byte what
+//!   `impl Display for f64` prints: plain decimal, never an exponent, and
+//!   `-0` for negative zero. Replies, snapshot files and content ids are
+//!   therefore what the `Display` path produced.
 //!
 //! The parser is a recursive-descent scanner over bytes with a nesting
 //! depth limit (a hostile request must exhaust the depth budget, not the
@@ -27,6 +32,8 @@
 //! offset stay those of [`parse`]. The request decoder in
 //! [`crate::protocol`] uses it to turn a `scenarios` sweep straight into
 //! typed scenarios.
+
+mod shortest;
 
 use std::borrow::Cow;
 use std::fmt;
@@ -163,14 +170,14 @@ impl fmt::Display for Json {
     }
 }
 
-/// Renders a number. Finite values use Rust's shortest round-trip `Display`
-/// (so re-parsing restores the exact bits); non-finite values — which the
-/// protocol never produces, since probabilities live in `[0, 1]` — degrade
-/// to `null` rather than emitting invalid JSON.
+/// Renders a number. A finite value renders as the shortest decimal that
+/// re-parses to its exact bits, the same bytes as `format!("{v}")`; see
+/// the `shortest` module. Non-finite values — which the protocol never
+/// produces, since probabilities live in `[0, 1]` — degrade to `null`
+/// rather than emitting invalid JSON.
 fn write_number(v: f64, out: &mut String) {
-    use fmt::Write as _;
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        shortest::write_f64(v, out);
     } else {
         out.push_str("null");
     }
@@ -640,6 +647,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore as _;
 
     #[test]
     fn round_trips_scalars_and_structures() {
@@ -677,11 +685,89 @@ mod tests {
 
     #[test]
     fn numbers_round_trip_bit_for_bit() {
-        for v in [0.18902, 0.1428, 1.0 / 3.0, 1e-300, 123_456_789.123_456_78] {
+        let mut pool = vec![0.18902, 0.1428, 1.0 / 3.0, 1e-300, 123_456_789.123_456_78];
+        pool.extend([
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ]);
+        // Every power of two, subnormal ones included.
+        pool.extend((-1074..=1023).map(|e| 2f64.powi(e)));
+        // Seeded finite bit patterns, a quarter of them subnormal.
+        let mut rng = hmdiv_prob::par::stream_rng(0xb175, 0);
+        for i in 0..20_000 {
+            let bits = rng.next_u64();
+            let bits = if i % 4 == 0 {
+                bits & 0x800f_ffff_ffff_ffff
+            } else {
+                bits
+            };
+            pool.push(f64::from_bits(bits));
+        }
+        for v in pool.into_iter().filter(|v| v.is_finite()) {
             let mut s = String::new();
             Json::Num(v).write(&mut s);
             let back = parse(&s).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{v}");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:e} rendered as {s}");
+        }
+    }
+
+    /// A random string made of pieces that need every kind of escape.
+    fn random_string(rng: &mut impl rand::Rng) -> String {
+        const PIECES: [&str; 10] = [
+            "a",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\r",
+            "\u{1}",
+            "\u{1f}",
+            "é",
+            "\u{1F600}",
+        ];
+        (0..rng.gen_range(0..6_usize))
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect()
+    }
+
+    /// A random document: nested arrays and objects, escaped strings, and
+    /// numbers from random bit patterns.
+    fn random_doc(rng: &mut impl rand::Rng, depth: usize) -> Json {
+        let leaf = depth >= 4 || rng.gen_bool(0.4);
+        match rng.gen_range(0..if leaf { 5 } else { 7_u32 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Str(random_string(rng)),
+            3 | 4 => {
+                let v = f64::from_bits(rng.next_u64());
+                Json::Num(if v.is_finite() { v } else { -0.0 })
+            }
+            5 => Json::Arr(
+                (0..rng.gen_range(0..5_usize))
+                    .map(|_| random_doc(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0..5_usize))
+                    .map(|_| (random_string(rng), random_doc(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn render_parse_render_is_idempotent() {
+        let mut rng = hmdiv_prob::par::stream_rng(0xd0c, 0);
+        for _ in 0..2_000 {
+            let doc = random_doc(&mut rng, 0);
+            let text = doc.to_string();
+            let back = parse(&text).unwrap();
+            assert_eq!(back.to_string(), text);
+            assert_eq!(back, doc, "{text}");
         }
     }
 

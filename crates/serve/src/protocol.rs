@@ -151,10 +151,7 @@ impl LineReader {
     /// Pops the next framing event, or `None` if more bytes are needed.
     pub fn next_event(&mut self) -> Option<LineEvent> {
         loop {
-            let newline = self.buf[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|off| self.scanned + off);
+            let newline = find_newline(&self.buf[self.scanned..]).map(|off| self.scanned + off);
             if self.resync {
                 match newline {
                     Some(pos) => {
@@ -203,6 +200,26 @@ impl LineReader {
             };
         }
     }
+}
+
+/// The index of the first `\n` in `bytes`. Whole 8-byte words are tested
+/// at once: XOR with `\n` in every byte turns a newline into a zero byte,
+/// and `(x − 0x01…01) & !x & 0x80…80` sets the top bit of the first zero
+/// byte (and possibly of later bytes, but never of an earlier one).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        let zero = x.wrapping_sub(ONES) & !x & TOPS;
+        if zero != 0 {
+            return Some(8 * i + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = tail.iter().position(|&b| b == b'\n')?;
+    Some(8 * words.len() + at)
 }
 
 /// A parsed request envelope; the body keeps the raw members for the
@@ -1248,8 +1265,21 @@ mod tests {
         stream.extend_from_slice(b"\nafter\n");
         stream.extend_from_slice(&[0xC3, 0xA9, b'\n']); // "é"
         stream.extend_from_slice(&[0xA9, b'o', b'k', b'\n']); // invalid UTF-8
+
+        // A newline at every offset of the first two 8-byte words scanned.
+        for len in 0..16 {
+            stream.extend(std::iter::repeat_n(b'a', len));
+            stream.push(b'\n');
+        }
+        // Newlines right after bytes >= 0x80, including 0x8A, which is `\n`
+        // with the top bit set.
+        stream.extend_from_slice("éééé\n".as_bytes());
+        stream.extend_from_slice(&[0xCA, 0x8A, b'\n']); // "ʊ"
+        stream.extend_from_slice(&[b'x', 0xFF, 0x8A, b'\n']); // invalid UTF-8
+        stream.extend_from_slice(&[0x8A; 9]);
+        stream.push(b'\n'); // invalid UTF-8
         stream.extend_from_slice(b"partial");
-        let expected = vec![
+        let mut expected = vec![
             LineEvent::Line("{\"verb\":\"ping\"}".into()),
             LineEvent::Line(String::new()),
             LineEvent::Line("exactly-sixteen!".into()),
@@ -1261,6 +1291,13 @@ mod tests {
             LineEvent::Line("é".into()),
             LineEvent::InvalidUtf8,
         ];
+        expected.extend((0..16).map(|len| LineEvent::Line("a".repeat(len))));
+        expected.extend([
+            LineEvent::Line("éééé".into()),
+            LineEvent::Line("ʊ".into()),
+            LineEvent::InvalidUtf8,
+            LineEvent::InvalidUtf8,
+        ]);
         assert_eq!(events_in_chunks(&stream, stream.len(), limit), expected);
         for chunk in [1, 2, 3, 5, 7, 16, 17, 64] {
             assert_eq!(
@@ -1289,6 +1326,27 @@ mod tests {
                 events.push(event);
             }
             assert_eq!(events, expected);
+        }
+    }
+
+    #[test]
+    fn find_newline_matches_a_byte_scan() {
+        let mut rng = hmdiv_prob::par::stream_rng(0x0a0a, 0);
+        for len in 0..40 {
+            for _ in 0..200 {
+                // Half the bytes are newlines, 0x8A (`\n` with the top bit
+                // set) or `\n` with one bit flipped; the rest are random.
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| match rng.gen_range(0..6_u32) {
+                        0 => b'\n',
+                        1 => 0x8A,
+                        2 => b'\n' ^ (1 << rng.gen_range(0..8_u32)),
+                        _ => rng.gen_range(0..=255_u8),
+                    })
+                    .collect();
+                let expected = bytes.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+            }
         }
     }
 

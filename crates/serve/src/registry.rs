@@ -381,9 +381,12 @@ impl Registry {
     /// verbs accept. Parameters are rendered with the shortest
     /// round-trip float representation, so a restore rebuilds
     /// bit-identical models and therefore **identical content ids** — the
-    /// filename is a checkable commitment. Files are written via a
-    /// temporary sibling and renamed, so a crash mid-save never leaves a
-    /// torn snapshot under a valid id. Returns the saved ids in id order.
+    /// filename is a checkable commitment. Each file is written to a
+    /// temporary `<id>.json.tmp` sibling and synced to disk, then renamed
+    /// over `<id>.json`, and the directory is synced after the renames. A
+    /// crash or power loss mid-save therefore never leaves a torn snapshot
+    /// under a valid id; at worst an orphan `.tmp`, which restore ignores.
+    /// Returns the saved ids in id order.
     ///
     /// # Errors
     ///
@@ -402,11 +405,16 @@ impl Registry {
             text.push('\n');
             let final_path = dir.join(format!("{id}.json"));
             let tmp_path = dir.join(format!("{id}.json.tmp"));
-            std::fs::write(&tmp_path, &text).map_err(|e| snapshot_io("write", &tmp_path, &e))?;
+            write_synced(&tmp_path, text.as_bytes())
+                .map_err(|e| snapshot_io("write", &tmp_path, &e))?;
             std::fs::rename(&tmp_path, &final_path)
                 .map_err(|e| snapshot_io("rename", &final_path, &e))?;
             ids.push(id);
         }
+        // The renames are directory entries: sync them too.
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| snapshot_io("sync", dir, &e))?;
         Ok(ids)
     }
 
@@ -492,6 +500,14 @@ impl Registry {
         }
         Ok(ids)
     }
+}
+
+/// Writes `bytes` to a new file at `path` and syncs its contents to disk.
+fn write_synced(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
 }
 
 /// Wraps an I/O failure on a snapshot path as a typed snapshot error.
@@ -849,6 +865,51 @@ mod tests {
             Vec::<String>::new()
         );
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn restore_ignores_an_orphan_tmp_beside_valid_snapshots() {
+        let reg = Registry::new();
+        let seq = reg.load_sequential(paper_params(), None).unwrap();
+        let coh = reg
+            .load_cohort(
+                vec![CohortMember {
+                    name: "r1".into(),
+                    model: paper::example_model().unwrap(),
+                    weight: 1.0,
+                }],
+                None,
+            )
+            .unwrap();
+        let scratch = ScratchDir::new("orphan");
+        let mut saved = reg.save_to_dir(&scratch.0).unwrap();
+        // A save leaves no temporary files behind.
+        let mut names: Vec<String> = std::fs::read_dir(&scratch.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let mut expected: Vec<String> = saved.iter().map(|id| format!("{id}.json")).collect();
+        expected.sort();
+        assert_eq!(names, expected);
+        // What a crash between write and rename leaves: a torn `.tmp` for
+        // an id that also has a valid snapshot, and one for an id that
+        // never made it.
+        let text = std::fs::read_to_string(scratch.0.join(format!("{}.json", seq.id))).unwrap();
+        std::fs::write(
+            scratch.0.join(format!("{}.json.tmp", seq.id)),
+            &text[..text.len() / 2],
+        )
+        .unwrap();
+        std::fs::write(scratch.0.join("m00000000000000ff.json.tmp"), "").unwrap();
+        let warm = Registry::new();
+        let mut restored = warm.restore_from_dir(&scratch.0).unwrap();
+        restored.sort();
+        saved.sort();
+        assert_eq!(restored, saved);
+        assert!(warm.get(&seq.id).is_ok());
+        assert!(warm.get(&coh.id).is_ok());
+        assert_eq!(warm.len(), 2);
     }
 
     #[test]
