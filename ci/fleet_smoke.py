@@ -23,15 +23,25 @@ Drives the whole failover story against three externally-started
                    and the revived replica serves the exact baseline.
 4. --shutdown    — one shutdown through the router drains the fleet.
 
+--idle-cpu       — with one client connection held open and idle, the
+                   router process (ROUTER_PID) may use at most 10% of one
+                   CPU over a 2 s window, and its event loop may wake at
+                   most four times per 2 ms idle timeout (the
+                   `fleet.router.wakeups` counter; the router must run
+                   with --metrics). An idle router that spins instead of
+                   waiting on socket readiness fails both.
+
 Usage: fleet_smoke.py            HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --degraded HOST ROUTER_PORT STATE_OUT
        fleet_smoke.py --recovered HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --shutdown HOST ROUTER_PORT
+       fleet_smoke.py --idle-cpu HOST ROUTER_PORT ROUTER_PID
 
 R1..R3 are the replica ports (for direct manifest comparison).
 """
 
 import json
+import os
 import socket
 import sys
 import time
@@ -206,6 +216,42 @@ def recovered(host, port, state_out, replica_ports):
     print("recovered fleet serves bit-identically; fleet smoke OK")
 
 
+def router_cpu_ticks(pid):
+    """utime + stime of process PID, in clock ticks."""
+    with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
+        stat = f.read()
+    # Fields after the parenthesised command name start at field 3
+    # (state); utime and stime are fields 14 and 15.
+    fields = stat[stat.rindex(")") + 2:].split()
+    return int(fields[11]) + int(fields[12])
+
+
+def router_wakeups(host, port):
+    prometheus = Session(host, port).request("metrics")["prometheus"]
+    for line in prometheus.splitlines():
+        if line.startswith("hmdiv_fleet_router_wakeups "):
+            return int(line.split()[1])
+    raise RuntimeError("router metrics carry no fleet.router.wakeups counter")
+
+
+def idle_cpu(host, port, pid):
+    idle = Session(host, port)  # connected, never sends
+    window = 2.0
+    tick = os.sysconf("SC_CLK_TCK")
+    wakeups_before = router_wakeups(host, port)
+    start, ticks_before = time.monotonic(), router_cpu_ticks(pid)
+    time.sleep(window)
+    ticks_after, elapsed = router_cpu_ticks(pid), time.monotonic() - start
+    wakeups = router_wakeups(host, port) - wakeups_before
+    share = (ticks_after - ticks_before) / tick / elapsed
+    bound = 4 * (int(elapsed / 0.002) + 1)
+    print(f"idle router: {share:.1%} of one CPU, {wakeups} wakeups "
+          f"in {elapsed:.2f} s (bounds 10%, {bound})")
+    assert share <= 0.10, f"idle router used {share:.1%} of one CPU"
+    assert wakeups <= bound, f"idle router woke {wakeups} times in {elapsed:.2f} s"
+    idle.sock.close()
+
+
 def shutdown(host, port):
     s = Session(host, port)
     assert s.request("shutdown").get("draining") is True
@@ -224,6 +270,8 @@ def main():
         )
     elif sys.argv[1] == "--shutdown":
         shutdown(sys.argv[2], int(sys.argv[3]))
+    elif sys.argv[1] == "--idle-cpu":
+        idle_cpu(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     else:
         baseline(
             sys.argv[1],

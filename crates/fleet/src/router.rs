@@ -4,11 +4,26 @@
 //! One event-loop thread multiplexes every client connection and every
 //! backend connection as nonblocking state machines with resumable
 //! [`LineReader`] framing — the same technique the serve core's poller
-//! and the loadgen driver use. Request lines are *forwarded verbatim*
-//! (replies too), so the fleet preserves the serve core's bit-identity
-//! guarantee: the router adds routing, never re-serialization. Only a
-//! shallow scan (`wire::peek`) looks at each request, extracting the
-//! verb and the raw `id` slice.
+//! and the loadgen driver use.
+//!
+//! The loop sweeps every socket (accept, backend writes and reads,
+//! client reads, routing, client writes) for as long as sweeps move
+//! bytes. When a sweep moves none, it blocks in a `poll(2)` readiness
+//! wait ([`hmdiv_serve::readiness`]) over the listener (left out while
+//! draining), every client (read interest unless half-closed, write
+//! interest while reply bytes are unflushed) and every backend (read
+//! interest, write interest while request bytes are unflushed), so a
+//! reply or request that arrives is forwarded at once. The wait's fixed
+//! [`IDLE_WAIT`] timeout bounds how late the loop notices what no socket
+//! reports: an ejection by the prober thread, or a shutdown requested
+//! from outside. Each pass of the loop counts one
+//! `fleet.router.wakeups`, so a loop that spins instead of waiting
+//! shows in the `metrics` verb's exposition.
+//!
+//! Request lines are *forwarded verbatim* (replies too), so the fleet
+//! preserves the serve core's bit-identity guarantee: the router adds
+//! routing, never re-serialization. Only a shallow scan (`wire::peek`)
+//! looks at each request, extracting the verb and the raw `id` slice.
 //!
 //! Routing:
 //!
@@ -42,6 +57,7 @@ use std::time::Duration;
 
 use hmdiv_serve::json::{self, Json};
 use hmdiv_serve::protocol::{err_line, LineEvent, LineReader};
+use hmdiv_serve::readiness::{self, PollFd};
 use hmdiv_serve::shutdown::ShutdownSignal;
 use hmdiv_serve::{Client, ServeError};
 
@@ -53,6 +69,10 @@ use crate::wire;
 /// Verbs that must reach every healthy replica to keep their registries
 /// converged.
 const BROADCAST_VERBS: [&str; 4] = ["load", "load_cohort", "save", "restore"];
+
+/// Longest readiness wait of an idle event loop: how late it notices an
+/// ejection or an external shutdown request, which no socket reports.
+pub const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -273,6 +293,10 @@ struct EventLoop {
     clients: Vec<Option<ClientConn>>,
     backends: Vec<Option<BackendConn>>,
     next_token: u64,
+    /// The last accept failed with something other than `WouldBlock`
+    /// (say, out of file descriptors): the listener stays readable, so it
+    /// sits out the next wait rather than turn it into a spin.
+    accept_failed: bool,
 }
 
 impl EventLoop {
@@ -293,12 +317,14 @@ impl EventLoop {
             clients: Vec::new(),
             backends: (0..backend_count).map(|_| None).collect(),
             next_token: 1,
+            accept_failed: false,
         }
     }
 
     fn run(mut self) {
-        let mut idle_backoff = Duration::from_micros(100);
+        let mut interest = Vec::new();
         loop {
+            hmdiv_obs::counter_add("fleet.router.wakeups", 1);
             let draining = self.signal.is_requested();
             let mut progressed = false;
             if !draining {
@@ -311,18 +337,38 @@ impl EventLoop {
             if draining && self.clients.iter().all(Option::is_none) {
                 break;
             }
-            if progressed {
-                idle_backoff = Duration::from_micros(100);
-            } else {
-                std::thread::sleep(idle_backoff);
-                idle_backoff = (idle_backoff * 2).min(Duration::from_millis(2));
+            if !progressed {
+                self.wait(draining, &mut interest);
             }
         }
+    }
+
+    /// Blocks until a socket the loop can act on is ready, or
+    /// [`IDLE_WAIT`] passes. A half-closed client with nothing to flush
+    /// is left out: it has no interest left, and a peer reset would
+    /// otherwise report it ready on every wait until its replies arrive.
+    fn wait(&self, draining: bool, interest: &mut Vec<PollFd>) {
+        interest.clear();
+        if !draining && !self.accept_failed {
+            interest.push(PollFd::new(&self.listener, true, false));
+        }
+        for conn in self.clients.iter().flatten() {
+            let unflushed = conn.cursor < conn.out.len();
+            if !conn.half_closed || unflushed {
+                interest.push(PollFd::new(&conn.stream, !conn.half_closed, unflushed));
+            }
+        }
+        for conn in self.backends.iter().flatten() {
+            let unflushed = conn.cursor < conn.out.len();
+            interest.push(PollFd::new(&conn.stream, true, unflushed));
+        }
+        readiness::wait_ready(interest, IDLE_WAIT);
     }
 
     /// Accepts every waiting connection; returns whether any arrived.
     fn accept_new(&mut self) -> bool {
         let mut any = false;
+        self.accept_failed = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
@@ -359,7 +405,10 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
+                Err(_) => {
+                    self.accept_failed = true;
+                    break;
+                }
             }
         }
         any
@@ -474,9 +523,10 @@ impl EventLoop {
                                         }
                                         // An oversized or non-UTF-8
                                         // reply cannot be forwarded;
-                                        // the requests it answered are
-                                        // lost with the connection.
+                                        // the request it answered fails
+                                        // with the connection, in order.
                                         LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => {
+                                            conn.inflight.push_front(token);
                                             failed = true;
                                             break;
                                         }

@@ -84,6 +84,10 @@ pub mod json;
 pub mod loadgen;
 mod poller;
 pub mod protocol;
+// The workspace denies `unsafe_code`; this module's one `poll(2)` call is
+// the single exception.
+#[allow(unsafe_code)]
+pub mod readiness;
 pub mod registry;
 pub mod server;
 pub mod shutdown;

@@ -6,7 +6,10 @@
 //! sockets against a poller pool without spawning a thousand client
 //! threads. Each connection pipelines up to `pipeline_depth` copies of
 //! one request line and keeps refilling until its per-connection quota
-//! is sent, then half-closes and drains.
+//! is sent, then half-closes and drains. When a sweep moves no bytes,
+//! the driver blocks in a [`readiness`] wait on its
+//! unfinished connections, at most 2 ms at a time and never past its
+//! timeout.
 //!
 //! Replies are classified by their wire shape — served (`"ok":true`),
 //! shed (`overloaded` / `deadline_exceeded` error codes), or other
@@ -25,6 +28,10 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::json::{self, Json};
+use crate::readiness::{self, PollFd};
+
+/// Longest single readiness wait between sweeps that moved no bytes.
+const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// What the generator should drive at the server(s).
 #[derive(Debug, Clone)]
@@ -352,7 +359,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         }
     }
     report.connections = conns.len();
-    let mut idle_backoff = Duration::from_micros(100);
+    let mut interest = Vec::new();
     while conns.iter().any(|c| !c.done) {
         if start.elapsed() > cfg.timeout {
             for c in &mut conns {
@@ -366,11 +373,16 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         for c in &mut conns {
             progressed |= c.step(cfg, &mut report);
         }
-        if progressed {
-            idle_backoff = Duration::from_micros(100);
-        } else {
-            std::thread::sleep(idle_backoff);
-            idle_backoff = (idle_backoff * 2).min(Duration::from_millis(2));
+        if !progressed {
+            interest.clear();
+            interest.extend(
+                conns
+                    .iter()
+                    .filter(|c| !c.done)
+                    .map(|c| PollFd::new(&c.stream, true, c.cursor < c.out.len())),
+            );
+            let left = cfg.timeout.saturating_sub(start.elapsed());
+            readiness::wait_ready(&mut interest, left.min(IDLE_WAIT));
         }
     }
     report.completed_connections = conns.iter().filter(|c| c.done && !c.failed).count();
