@@ -20,9 +20,7 @@
 //!
 //! Per-class gaps are *exact*: both class-failure slots are the stored
 //! semantics of their models, so their difference is a point interval,
-//! not an enclosure. Verdicts therefore need no tolerance knob — which
-//! is what lets `design::allocate_improvement_budget` use them to prune
-//! candidates without perturbing its bit-identical ranking.
+//! not an enclosure. Verdicts therefore need no tolerance knob.
 //!
 //! Comparing models over different interned universes is refused with
 //! [`codes::COMPARE_UNIVERSE_MISMATCH`]: with no slot pairing there is

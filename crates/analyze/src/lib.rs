@@ -23,8 +23,7 @@
 //!   of the paper.
 //! * [`diff`] — differential comparison: [`compare`] pairs two compiled
 //!   models slot by slot and returns a certified
-//!   dominates/dominated/incomparable verdict with exact gap bounds —
-//!   the pruning engine behind `design::allocate_improvement_budget_pruned`.
+//!   dominates/dominated/incomparable verdict with exact gap bounds.
 //! * [`diag`] — the shared diagnostics framework: stable `HM0xx` codes,
 //!   `error`/`warn`/`info` severities, and human-text + JSON renderers.
 //!

@@ -12,12 +12,10 @@
 //!
 //! Setting `HMDIV_BENCH_GUARD=1` skips the criterion groups and instead
 //! runs a self-contained measured comparison of the scalar-compiled and
-//! lane-blocked sweeps on the same process, failing (exit 1) if the
-//! lane-blocked path is not at least `HMDIV_BENCH_GUARD_MIN_RATIO` (default
-//! 1.5) times faster. `HMDIV_BENCH_GUARD_OUT=<path>` additionally writes
-//! the guard measurements as JSON for CI artifact upload;
-//! `HMDIV_BENCH_GUARD_MS` overrides the per-variant measurement window
-//! (default 2000 ms).
+//! lane-blocked sweeps on the same process, over a 2000 ms window per
+//! variant, failing (exit 1) if the lane-blocked path is not at least
+//! 1.5 times faster. `HMDIV_BENCH_GUARD_OUT=<path>` additionally writes
+//! the guard measurements as JSON for CI artifact upload.
 
 use std::time::{Duration, Instant};
 
@@ -169,27 +167,15 @@ fn time_per_call_us(window: Duration, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / calls as f64
 }
 
-fn guard_env_ms() -> u64 {
-    std::env::var("HMDIV_BENCH_GUARD_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(2000)
-}
+/// Measurement window per guard variant.
+const GUARD_WINDOW: Duration = Duration::from_millis(2000);
 
-fn guard_min_ratio() -> f64 {
-    std::env::var("HMDIV_BENCH_GUARD_MIN_RATIO")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .unwrap_or(1.5)
-}
+/// How many times faster the lane-blocked sweep must be.
+const GUARD_MIN_RATIO: f64 = 1.5;
 
 /// The CI bench guard: lane-blocked sweep must beat the scalar compiled
-/// sweep by `min_ratio` on this very machine, same process, same inputs.
+/// sweep by `GUARD_MIN_RATIO` on this very machine, same process, same inputs.
 fn run_guard() {
-    let window = Duration::from_millis(guard_env_ms());
-    let min_ratio = guard_min_ratio();
     let mut entries = Vec::new();
     let mut worst: f64 = f64::INFINITY;
     for n in [8usize, 32] {
@@ -212,7 +198,7 @@ fn run_guard() {
                 "lane kernel drifted from scalar at scenario {i} (n={n})"
             );
         }
-        let scalar_us = time_per_call_us(window, || {
+        let scalar_us = time_per_call_us(GUARD_WINDOW, || {
             std::hint::black_box(scalar_compiled_sweep(
                 &compiled,
                 &bound,
@@ -220,7 +206,7 @@ fn run_guard() {
                 &mut scratch,
             ));
         });
-        let lane_us = time_per_call_us(window, || {
+        let lane_us = time_per_call_us(GUARD_WINDOW, || {
             std::hint::black_box(
                 compiled
                     .evaluate_scenarios(&scenarios, &bound)
@@ -231,21 +217,22 @@ fn run_guard() {
         worst = worst.min(ratio);
         println!(
             "bench-guard scenario_sweep_1k/classes_{n}: scalar {scalar_us:.1} us, \
-             lane-blocked {lane_us:.1} us, ratio {ratio:.2}x (min {min_ratio:.2}x)"
+             lane-blocked {lane_us:.1} us, ratio {ratio:.2}x (min {GUARD_MIN_RATIO:.2}x)"
         );
         entries.push(format!(
             "    \"classes_{n}\": {{ \"scalar_us\": {scalar_us:.1}, \
              \"lane_blocked_us\": {lane_us:.1}, \"ratio\": {ratio:.2} }}"
         ));
     }
-    let pass = worst >= min_ratio;
+    let pass = worst >= GUARD_MIN_RATIO;
     if let Ok(path) = std::env::var("HMDIV_BENCH_GUARD_OUT") {
         let json = format!(
             "{{\n  \"guard\": \"lane_blocked_vs_scalar_compiled\",\n  \
              \"bench\": \"compiled_core/scenario_sweep_1k\",\n  \
-             \"window_ms\": {},\n  \"min_ratio\": {min_ratio},\n  \"results\": {{\n{}\n  }},\n  \
+             \"window_ms\": {},\n  \"min_ratio\": {GUARD_MIN_RATIO},\n  \
+             \"results\": {{\n{}\n  }},\n  \
              \"pass\": {pass}\n}}\n",
-            window.as_millis(),
+            GUARD_WINDOW.as_millis(),
             entries.join(",\n"),
         );
         std::fs::write(&path, json).expect("guard output path writable");
@@ -254,9 +241,9 @@ fn run_guard() {
     assert!(
         pass,
         "bench-guard FAILED: lane-blocked sweep only {worst:.2}x over the scalar \
-         compiled path (required {min_ratio:.2}x)"
+         compiled path (required {GUARD_MIN_RATIO:.2}x)"
     );
-    println!("bench-guard PASSED: worst ratio {worst:.2}x >= {min_ratio:.2}x");
+    println!("bench-guard PASSED: worst ratio {worst:.2}x >= {GUARD_MIN_RATIO:.2}x");
 }
 
 fn main() {

@@ -12,11 +12,10 @@
 //!
 //! Setting `HMDIV_BENCH_GUARD=1` skips the criterion groups and instead
 //! runs the self-contained acceptance gate: bit-identical allocations at
-//! thread counts 1, 2 and 7, plus at least
-//! `HMDIV_BENCH_GUARD_MIN_SAVE` (default 0.25) of candidate evaluations
-//! pruned away. `HMDIV_BENCH_GUARD_OUT=<path>` additionally writes the
-//! measurements as JSON for CI artifact upload; `HMDIV_BENCH_GUARD_MS`
-//! overrides the per-variant measurement window (default 2000 ms).
+//! thread counts 1, 2 and 7, plus at least a quarter of candidate
+//! evaluations pruned away; each variant is timed over a 2000 ms window.
+//! `HMDIV_BENCH_GUARD_OUT=<path>` additionally writes the measurements as
+//! JSON for CI artifact upload.
 
 use std::time::{Duration, Instant};
 
@@ -92,21 +91,11 @@ fn time_per_call_us(window: Duration, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / calls as f64
 }
 
-fn guard_env_ms() -> u64 {
-    std::env::var("HMDIV_BENCH_GUARD_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(2000)
-}
+/// Measurement window per guard variant.
+const GUARD_WINDOW: Duration = Duration::from_millis(2000);
 
-fn guard_min_save() -> f64 {
-    std::env::var("HMDIV_BENCH_GUARD_MIN_SAVE")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0 && *v < 1.0)
-        .unwrap_or(0.25)
-}
+/// Least share of candidate evaluations that pruning must save.
+const GUARD_MIN_SAVE: f64 = 0.25;
 
 /// Bit-identity first: the guard must never certify a pruning stage that
 /// changed the greedy answer, at any thread count.
@@ -142,12 +131,10 @@ fn assert_identical(n: usize, budget: usize) -> PruneStats {
     stats
 }
 
-/// The CI bench guard: pruning must save `min_save` of the compiled
+/// The CI bench guard: pruning must save `GUARD_MIN_SAVE` of the compiled
 /// candidate evaluations on this very workload while staying bit-identical
 /// to the unpruned greedy loop.
 fn run_guard() {
-    let window = Duration::from_millis(guard_env_ms());
-    let min_save = guard_min_save();
     let mut entries = Vec::new();
     let mut worst: f64 = f64::INFINITY;
     for n in [23usize, 64] {
@@ -156,12 +143,12 @@ fn run_guard() {
         let saved = stats.pruned as f64 / stats.candidates as f64;
         worst = worst.min(saved);
         let (model, profile) = synthetic_model(n);
-        let unpruned_us = time_per_call_us(window, || {
+        let unpruned_us = time_per_call_us(GUARD_WINDOW, || {
             std::hint::black_box(
                 allocate_improvement_budget(&model, &profile, budget, 2.0).expect("valid"),
             );
         });
-        let pruned_us = time_per_call_us(window, || {
+        let pruned_us = time_per_call_us(GUARD_WINDOW, || {
             std::hint::black_box(
                 allocate_improvement_budget_pruned(&model, &profile, budget, 2.0, 1)
                     .expect("valid"),
@@ -175,7 +162,7 @@ fn run_guard() {
             stats.pruned,
             stats.candidates,
             saved * 100.0,
-            min_save * 100.0
+            GUARD_MIN_SAVE * 100.0
         );
         entries.push(format!(
             "    \"classes_{n}\": {{ \"budget\": {budget}, \"candidates\": {}, \
@@ -185,15 +172,16 @@ fn run_guard() {
             stats.candidates, stats.evaluated, stats.pruned,
         ));
     }
-    let pass = worst >= min_save;
+    let pass = worst >= GUARD_MIN_SAVE;
     if let Ok(path) = std::env::var("HMDIV_BENCH_GUARD_OUT") {
         let json = format!(
             "{{\n  \"guard\": \"pruned_vs_unpruned_budget_allocation\",\n  \
              \"bench\": \"design_prune/budget_sweep\",\n  \
              \"bit_identical_threads\": [1, 2, 7],\n  \
-             \"window_ms\": {},\n  \"min_save\": {min_save},\n  \"results\": {{\n{}\n  }},\n  \
+             \"window_ms\": {},\n  \"min_save\": {GUARD_MIN_SAVE},\n  \
+             \"results\": {{\n{}\n  }},\n  \
              \"pass\": {pass}\n}}\n",
-            window.as_millis(),
+            GUARD_WINDOW.as_millis(),
             entries.join(",\n"),
         );
         std::fs::write(&path, json).expect("guard output path writable");
@@ -204,12 +192,12 @@ fn run_guard() {
         "bench-guard FAILED: pruning saved only {:.1}% of candidate evaluations \
          (required {:.1}%)",
         worst * 100.0,
-        min_save * 100.0
+        GUARD_MIN_SAVE * 100.0
     );
     println!(
         "bench-guard PASSED: worst save {:.1}% >= {:.1}%",
         worst * 100.0,
-        min_save * 100.0
+        GUARD_MIN_SAVE * 100.0
     );
 }
 

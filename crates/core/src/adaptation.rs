@@ -12,14 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::{ClassParams, ModelError};
 
 /// A named model of how readers adapt to a change in machine reliability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum AdaptationResponse {
     /// No adaptation: reader conditionals are unchanged (the paper's default

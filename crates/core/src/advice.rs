@@ -11,13 +11,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::extrapolate::Scenario;
 use crate::{DemandProfile, ModelError, SequentialModel};
 
 /// One warning about an extrapolation's validity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Warning {
     /// The target demand profile differs substantially from the measured
@@ -95,7 +93,7 @@ impl fmt::Display for Warning {
 
 /// Thresholds for the checks; [`Thresholds::default`] mirrors the paper's
 /// qualitative guidance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// TV distance above which a profile shift is flagged.
     pub profile_shift_tv: f64,

@@ -14,12 +14,11 @@
 //! within-subclass `t`s.
 
 use hmdiv_prob::Probability;
-use serde::{Deserialize, Serialize};
 
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, ModelParams, SequentialModel};
 
 /// The result of merging a set of classes into one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergedClass {
     /// The classes that were merged, in profile order.
     pub members: Vec<ClassId>,

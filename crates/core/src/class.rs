@@ -2,8 +2,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a *class of demands* (the paper's `x`).
 ///
 /// The paper stresses that cases must be grouped into classes within which
@@ -23,8 +21,7 @@ use serde::{Deserialize, Serialize};
 // Derived `PartialOrd` expands to `partial_cmp`, which clippy.toml disallows
 // for hand-written float comparisons; the derive itself is fine.
 #[allow(clippy::disallowed_methods)]
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(from = "String", into = "String")]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClassId(Arc<str>);
 
 impl ClassId {
@@ -252,7 +249,7 @@ fn fnv1a(h: u64, byte: u8) -> u64 {
 /// let manifest = UniverseManifest::of(&u);
 /// assert_eq!(manifest.restore().unwrap(), u);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniverseManifest {
     classes: Vec<String>,
     hash: u64,

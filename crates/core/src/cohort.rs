@@ -12,14 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::{ClassId, DemandProfile, ModelError, SequentialModel};
 
 /// One reader's entry in a cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortMember {
     /// Reader label (e.g. an anonymised ID).
     pub name: String,
@@ -49,13 +47,13 @@ pub struct CohortMember {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReaderCohort {
     members: Vec<CohortMember>,
 }
 
 /// Per-reader evaluation row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortRow {
     /// Reader label.
     pub name: String,
@@ -66,7 +64,7 @@ pub struct CohortRow {
 }
 
 /// Cohort-level summary under a demand profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortSummary {
     /// Per-reader rows, worst (highest failure) first.
     pub rows: Vec<CohortRow>,

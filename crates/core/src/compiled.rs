@@ -905,7 +905,7 @@ impl CompiledModel {
     }
 
     /// Materialises the current slots back into a map-based table (e.g. to
-    /// hand a patched model to serde-facing callers).
+    /// hand a patched model to callers of the map-based API).
     #[must_use]
     pub fn to_model_params(&self) -> ModelParams {
         let mut builder = ModelParams::builder();

@@ -11,15 +11,13 @@
 //! This is the paper's argument for targeting improvement at classes with
 //! high `t(x)` rather than at the machine's average failure rate.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::moments::weighted_covariance;
 use hmdiv_prob::Probability;
 
 use crate::{DemandProfile, ModelError, SequentialModel};
 
 /// The terms of eq. (10), plus the reconstructed and direct totals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CovarianceDecomposition {
     /// `E[PHf|Ms(x)]` — the expected reader failure under machine success
     /// (the improvable-floor term).

@@ -13,14 +13,12 @@
 //! 0.9·0.04·0.07 ≈ 0.0025 under the field profile) buys far less than the
 //! same improvement on the rare difficult ones (0.1·0.5·0.41 ≈ 0.021).
 
-use serde::{Deserialize, Serialize};
-
 use crate::compiled::CompiledModel;
 use crate::extrapolate::Scenario;
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, SequentialModel};
 
 /// The improvement leverage of one class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassLeverage {
     /// The class.
     pub class: ClassId,
@@ -133,6 +131,13 @@ pub struct BudgetAllocation {
 
 /// See [`BudgetAllocation`].
 ///
+/// This is the reference allocator: it evaluates every candidate in every
+/// round. [`allocate_improvement_budget_pruned`] gives the bit-identical
+/// answer with far fewer evaluations and is the one to call. The pruned
+/// allocator's tests, the `design_prune` bench guard and the repository
+/// benchmark's oracle compare against this loop, so it stays as an
+/// independent implementation.
+///
 /// # Errors
 ///
 /// * [`ModelError::InvalidFactor`] if `step_factor <= 1` or `budget == 0`.
@@ -143,18 +148,7 @@ pub fn allocate_improvement_budget(
     budget: usize,
     step_factor: f64,
 ) -> Result<BudgetAllocation, ModelError> {
-    if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
-        return Err(ModelError::InvalidFactor {
-            value: step_factor,
-            context: "step factor",
-        });
-    }
-    if budget == 0 {
-        return Err(ModelError::InvalidFactor {
-            value: 0.0,
-            context: "improvement budget",
-        });
-    }
+    validate_budget(budget, step_factor)?;
     // Compile once; candidates are evaluated by patching one class slot
     // instead of cloning a map-based model per candidate per unit.
     let bound = model.compiled().bind_profile(profile)?;
@@ -201,10 +195,27 @@ pub fn allocate_improvement_budget(
     })
 }
 
+/// The argument checks both allocators share.
+fn validate_budget(budget: usize, step_factor: f64) -> Result<(), ModelError> {
+    if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
+        return Err(ModelError::InvalidFactor {
+            value: step_factor,
+            context: "step factor",
+        });
+    }
+    if budget == 0 {
+        return Err(ModelError::InvalidFactor {
+            value: 0.0,
+            context: "improvement budget",
+        });
+    }
+    Ok(())
+}
+
 /// Evaluation counts from one run of
 /// [`allocate_improvement_budget_pruned`]: how much compiled work the
 /// certified pre-pruning stage saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Greedy rounds executed (= the budget).
     pub rounds: usize,
@@ -255,18 +266,7 @@ pub fn allocate_improvement_budget_pruned(
     step_factor: f64,
     threads: usize,
 ) -> Result<(BudgetAllocation, PruneStats), ModelError> {
-    if step_factor.is_nan() || step_factor <= 1.0 || step_factor.is_infinite() {
-        return Err(ModelError::InvalidFactor {
-            value: step_factor,
-            context: "step factor",
-        });
-    }
-    if budget == 0 {
-        return Err(ModelError::InvalidFactor {
-            value: 0.0,
-            context: "improvement budget",
-        });
-    }
+    validate_budget(budget, step_factor)?;
     let threads = threads.max(1);
     let bound = model.compiled().bind_profile(profile)?;
     let mut compiled = CompiledModel::clone(model.compiled());

@@ -8,14 +8,12 @@
 //! Combined with the FN/FP rates from the analytic team models or the
 //! simulator, it ranks configurations the way a programme board would.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::ModelError;
 
 /// Unit costs of a screening programme, in arbitrary consistent units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of one reader reading one case.
     pub reading_cost: f64,
@@ -55,7 +53,7 @@ impl CostModel {
 }
 
 /// The operational profile of one configuration, as rates per case screened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigurationProfile {
     /// Configuration label.
     pub name: String,
@@ -72,7 +70,7 @@ pub struct ConfigurationProfile {
 }
 
 /// The priced outcome of one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PricedConfiguration {
     /// Configuration label.
     pub name: String,

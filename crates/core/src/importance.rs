@@ -12,15 +12,13 @@
 //! the machine for the system, and (b) the intercept is a hard floor — no
 //! machine improvement alone can push system failure below `PHf|Ms(x)`.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::{ClassId, DemandProfile, ModelError, SequentialModel};
 
 /// The Fig. 4 line for one class: system failure as a function of machine
 /// failure probability, holding the reader's conditional behaviour fixed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineResponseLine {
     class: ClassId,
     intercept: Probability,

@@ -10,14 +10,12 @@
 //! without Monte-Carlo, the deterministic counterpart of
 //! [`crate::uncertainty::propagate`].
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::{ClassId, ClassParams, DemandProfile, ModelError, ModelParams, SequentialModel};
 
 /// An interval `[lo, hi]` for each parameter of one class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassParamBox {
     /// Bounds on `PMf(x)`.
     pub p_mf: (Probability, Probability),
@@ -101,7 +99,7 @@ impl ClassParamBox {
 }
 
 /// A model with interval-valued parameters.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntervalModel {
     boxes: std::collections::BTreeMap<ClassId, ClassParamBox>,
 }

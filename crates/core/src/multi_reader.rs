@@ -16,8 +16,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::compiled::CompiledProfile;
@@ -28,7 +26,7 @@ use crate::{ClassId, ClassUniverse, DemandProfile, ModelError};
 ///
 /// For *unaided* configurations, conditionals are irrelevant and equal: use
 /// [`ReaderSkill::unaided_from`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReaderSkill {
     table: BTreeMap<ClassId, (Probability, Probability)>,
 }
@@ -110,7 +108,7 @@ impl ReaderSkillBuilder {
 }
 
 /// How multiple readers' decisions combine into the system decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CombinationRule {
     /// Only the first reader decides.
@@ -174,14 +172,13 @@ impl fmt::Display for CombinationRule {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TeamModel {
     machine: BTreeMap<ClassId, Probability>,
     readers: Vec<ReaderSkill>,
     rule: CombinationRule,
     /// Lazily interned machine-class universe; derived state, excluded from
-    /// equality and serialisation.
-    #[serde(skip)]
+    /// equality.
     universe: OnceLock<Arc<ClassUniverse>>,
 }
 

@@ -2,8 +2,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::moments::weighted_covariance;
 use hmdiv_prob::Probability;
 use hmdiv_rbd::difficulty::littlewood_miller;
@@ -24,7 +22,7 @@ use crate::{ClassId, DemandProfile, ModelError};
 /// *conditionally independent* (they examine the films separately), which is
 /// exactly the assumption whose across-class aggregate produces the
 /// covariance term of eq. (3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionParams {
     /// `P(Mf)(x)`: machine detection failure probability.
     pub p_mf: Probability,
@@ -124,12 +122,11 @@ pub struct DetectionCovariance {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelDetectionModel {
     table: BTreeMap<ClassId, DetectionParams>,
     /// Lazily-compiled dense evaluation form (derived state; see
     /// [`crate::compiled`]).
-    #[serde(skip)]
     compiled: OnceLock<Arc<CompiledDetectionModel>>,
 }
 

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::{ClassId, ModelError};
@@ -37,7 +35,7 @@ use crate::{ClassId, ModelError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassParams {
     p_mf: Probability,
     p_hf_given_ms: Probability,
@@ -175,7 +173,7 @@ impl fmt::Display for ClassParams {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     table: BTreeMap<ClassId, ClassParams>,
 }

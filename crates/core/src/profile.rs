@@ -1,7 +1,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_prob::{Categorical, Probability};
 
@@ -29,7 +28,7 @@ use crate::{ClassId, ModelError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandProfile {
     dist: Categorical<ClassId>,
 }

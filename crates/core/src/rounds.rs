@@ -13,12 +13,10 @@
 //! Each round the tumour grows more visible, modelled by multiplying the
 //! class failure probability by a per-round `visibility_gain < 1`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DemandProfile, ModelError, SequentialModel};
 
 /// Result of a multi-round analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundsAnalysis {
     /// `P(first detected at round i)`, `i = 0..rounds`.
     pub detection_by_round: Vec<f64>,

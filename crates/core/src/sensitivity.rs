@@ -15,13 +15,11 @@
 //! method), and sanity-checking the §6 analyses (the `PMf` gradient *is*
 //! the class leverage of [`crate::design`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClassId, DemandProfile, ModelError, SequentialModel};
 
 /// Partial derivatives of the system failure probability with respect to
 /// one class's parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassSensitivity {
     /// The class.
     pub class: ClassId,

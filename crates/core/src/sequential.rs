@@ -1,8 +1,6 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::compiled::CompiledModel;
@@ -32,12 +30,11 @@ use crate::{ClassId, ClassParams, DemandProfile, ModelError, ModelParams};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SequentialModel {
     params: ModelParams,
     /// Lazily-compiled dense evaluation form. The map-based `params` stay
-    /// the public, serde-facing surface; every evaluation goes through this.
-    #[serde(skip)]
+    /// the public surface; every evaluation goes through this.
     compiled: OnceLock<Arc<CompiledModel>>,
 }
 

@@ -11,7 +11,6 @@
 //! ROC, from which an operating point can be chosen under recall-rate
 //! constraints or failure costs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use hmdiv_prob::Probability;
@@ -25,7 +24,7 @@ use crate::{ClassId, DemandProfile, ModelError, SequentialModel};
 /// the wrong decision: missing the relevant features of a cancer (FN side),
 /// or prompting spurious features on a healthy film (FP side). The reader
 /// conditionals have the same reading as in [`SequentialModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoSidedModel {
     /// Model of false-negative failures over cancer-case classes.
     pub false_negative: SequentialModel,
@@ -35,7 +34,7 @@ pub struct TwoSidedModel {
 
 /// A system-level operating point, produced by sweeping the machine
 /// threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// The machine threshold `τ ∈ [0, 1]` that produced this point
     /// (`τ` is the machine's per-class false-positive prompt rate scale).
@@ -55,7 +54,7 @@ pub struct OperatingPoint {
 ///
 /// The FP side prompts spurious features at rate `τ` scaled by a per-class
 /// susceptibility factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineRoc {
     fn_exponents: BTreeMap<ClassId, f64>,
     fp_susceptibility: BTreeMap<ClassId, f64>,

@@ -8,7 +8,6 @@
 //! models consume.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::special::{beta_quantile, incomplete_beta, ln_beta};
 use crate::{ProbError, Probability};
@@ -29,7 +28,7 @@ use crate::{ProbError, Probability};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Beta {
     alpha: f64,
     beta: f64,

@@ -8,14 +8,12 @@
 //! screening data produces), and a Woolf confidence interval for the odds
 //! ratio.
 
-use serde::{Deserialize, Serialize};
-
 use crate::estimate::BinomialEstimate;
 use crate::special::{ln_gamma, normal_cdf, normal_quantile};
 use crate::ProbError;
 
 /// Result of a two-proportion comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Comparison {
     /// Difference of proportions `p̂₁ − p̂₂`.
     pub difference: f64,

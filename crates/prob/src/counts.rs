@@ -11,8 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::estimate::BinomialEstimate;
 use crate::{ProbError, Probability};
 
@@ -20,7 +18,7 @@ use crate::{ProbError, Probability};
 ///
 /// The four cells count cases by whether the machine failed and whether the
 /// human (and hence the system) failed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JointCounts {
     /// Machine succeeded, human succeeded.
     pub ms_hs: u64,
@@ -164,7 +162,7 @@ impl fmt::Display for JointCounts {
 /// assert_eq!(counts.stratum(&"easy").unwrap().total(), 2);
 /// assert_eq!(counts.pooled().total(), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StratifiedCounts<K: Ord> {
     strata: BTreeMap<K, JointCounts>,
 }

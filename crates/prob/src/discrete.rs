@@ -9,7 +9,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{ProbError, Probability};
 
@@ -32,11 +31,10 @@ use crate::{ProbError, Probability};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Categorical<T> {
     categories: Vec<T>,
     probabilities: Vec<f64>,
-    #[serde(skip)]
     alias: std::sync::OnceLock<AliasTable>,
 }
 

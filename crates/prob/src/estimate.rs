@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::special::{beta_quantile, normal_quantile};
 use crate::{ProbError, Probability};
 
 /// Which confidence-interval construction to use for a binomial proportion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum CiMethod {
     /// The classical normal approximation `p̂ ± z·√(p̂(1−p̂)/n)`.
@@ -50,7 +48,7 @@ impl fmt::Display for CiMethod {
 }
 
 /// A two-sided confidence interval for a probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     lo: Probability,
     hi: Probability,
@@ -147,7 +145,7 @@ impl fmt::Display for ConfidenceInterval {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BinomialEstimate {
     successes: u64,
     trials: u64,

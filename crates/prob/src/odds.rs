@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ProbError, Probability};
 
 /// Odds `p / (1 − p)`: a non-negative value, possibly infinite.
@@ -29,7 +27,7 @@ use crate::{ProbError, Probability};
 // Derived `PartialOrd` expands to `partial_cmp`, which clippy.toml disallows
 // for hand-written float comparisons; the derive itself is fine.
 #[allow(clippy::disallowed_methods)]
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Odds(f64);
 
 impl Odds {

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Mul, Not};
 
-use serde::{Deserialize, Serialize};
-
 use crate::odds::Odds;
 use crate::ProbError;
 
@@ -38,8 +36,7 @@ use crate::ProbError;
 // Derived `PartialOrd` expands to `partial_cmp`, which clippy.toml disallows
 // for hand-written float comparisons; the derive itself is fine.
 #[allow(clippy::disallowed_methods)]
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Probability(f64);
 
 impl Probability {
@@ -386,8 +383,8 @@ mod tests {
         assert_eq!(json, x);
     }
 
-    // Avoids a serde_json dev-dependency: drive the serde impls through the
-    // f64 conversions they are declared with.
+    // Round-trips through the public `f64` conversions, which validate on
+    // the way in.
     fn serde_json_like_roundtrip(x: Probability) -> Probability {
         Probability::try_from(f64::from(x)).unwrap()
     }

@@ -4,8 +4,6 @@
 //! accumulators maintain numerically stable running moments (Welford's
 //! algorithm and its bivariate extension) without storing the stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ProbError, Probability};
 
 /// Welford running mean/variance accumulator.
@@ -23,7 +21,7 @@ use crate::{ProbError, Probability};
 /// assert!((acc.mean().unwrap() - 2.5).abs() < 1e-12);
 /// assert!((acc.sample_variance().unwrap() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMoments {
     count: u64,
     mean: f64,
@@ -99,7 +97,7 @@ impl RunningMoments {
 
 /// Running Bernoulli tally: count of hits out of observations, convertible
 /// into a [`Probability`] estimate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BernoulliTally {
     hits: u64,
     total: u64,
@@ -157,7 +155,7 @@ impl BernoulliTally {
 /// Bivariate Welford accumulator: running means, variances and covariance of
 /// a paired stream — used to estimate failure-probability covariances from
 /// simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningCovariance {
     count: u64,
     mean_x: f64,

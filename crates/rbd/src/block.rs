@@ -1,8 +1,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::RbdError;
 
 /// A reliability block diagram, as a composable tree.
@@ -31,7 +29,7 @@ use crate::RbdError;
 /// ]);
 /// assert_eq!(fig2.component_names().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Block {
     /// A basic component, identified by name.
     Component(String),

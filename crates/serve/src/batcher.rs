@@ -419,38 +419,17 @@ fn reply(h: ReplyHandle, result: Reply) {
     h.complete(result);
 }
 
-/// Default dense-batch size below which a group is evaluated on the worker
+/// Dense-batch size below which a group is evaluated on the worker
 /// thread itself: spawning shard threads costs tens of microseconds,
 /// while small groups evaluate in far less than that. The `_par` entry
 /// points are thread-count-invariant, so this is purely a latency
-/// policy — results are bit-identical either way.
-const DEFAULT_PAR_THRESHOLD: usize = 1024;
-
-/// The effective parallelism threshold: the `HMDIV_SERVE_PAR_THRESHOLD`
-/// environment override when it parses as a positive integer, else
-/// [`DEFAULT_PAR_THRESHOLD`]. Read once per process; the `metrics` verb
-/// reports the effective value.
-#[must_use]
-pub fn par_threshold() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        parse_par_threshold(std::env::var("HMDIV_SERVE_PAR_THRESHOLD").ok().as_deref())
-    })
-}
-
-/// Validates a raw `HMDIV_SERVE_PAR_THRESHOLD` value: unset, empty,
-/// non-numeric, or zero values fall back to the default (zero would force
-/// shard spawns for every batch of one).
-fn parse_par_threshold(raw: Option<&str>) -> usize {
-    match raw.map(str::trim).and_then(|s| s.parse::<usize>().ok()) {
-        Some(v) if v > 0 => v,
-        _ => DEFAULT_PAR_THRESHOLD,
-    }
-}
+/// policy — results are bit-identical either way. The `metrics` verb
+/// reports it.
+pub(crate) const PAR_THRESHOLD: usize = 1024;
 
 /// Shard count for one dense group: serial under the threshold.
 fn group_threads(len: usize, threads: usize) -> usize {
-    if len < par_threshold() {
+    if len < PAR_THRESHOLD {
         1
     } else {
         threads
@@ -696,17 +675,6 @@ mod tests {
         // the threads interleave.
         assert!(ticket.wait().is_ok());
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn par_threshold_override_is_validated() {
-        assert_eq!(parse_par_threshold(None), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("0")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("-4")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("lots")), DEFAULT_PAR_THRESHOLD);
-        assert_eq!(parse_par_threshold(Some("256")), 256);
-        assert_eq!(parse_par_threshold(Some(" 2048 ")), 2048);
     }
 
     #[test]

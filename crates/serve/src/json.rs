@@ -1,9 +1,8 @@
 //! A minimal JSON value type with a hand-rolled parser and renderer.
 //!
-//! The workspace's vendored `serde` is an offline marker stub with no
-//! derive-driven serialization, so the wire layer rolls its own JSON, the
-//! way `hmdiv_obs::export` already does for snapshots. Two properties
-//! matter for the serve protocol and are guaranteed here:
+//! The workspace has no serialization framework, so the wire layer rolls
+//! its own JSON, the way `hmdiv_obs::export` already does for snapshots.
+//! Two properties matter for the serve protocol and are guaranteed here:
 //!
 //! * **Objects preserve key order** ([`Json::Obj`] is a `Vec` of pairs, not
 //!   a map). A demand profile arrives as a JSON object, and

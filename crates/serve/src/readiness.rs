@@ -6,7 +6,9 @@
 //! sweep moves none, they block in [`wait_ready`] until one of their
 //! sockets is ready or a timeout passes, instead of sleeping a fixed
 //! interval: a reply that lands during the wait is handled at once
-//! rather than after the nap.
+//! rather than after the nap. The server's accept loop waits on its
+//! listener the same way, so a fresh connection is accepted as soon as
+//! it arrives.
 //!
 //! `poll` comes from the C library that `std` already links, so the
 //! binding is one `extern "C"` declaration. Its one call is the

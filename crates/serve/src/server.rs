@@ -39,10 +39,13 @@ use crate::error::ServeError;
 use crate::json::{self, Json};
 use crate::poller::PollerPool;
 use crate::protocol::{self, Request};
+use crate::readiness::{self, PollFd};
 use crate::registry::{Artifact, LoadReceipt, Registry};
 use crate::shutdown::ShutdownSignal;
 
-/// How long the accept loop naps when no connection is pending.
+/// How long the accept loop waits for a pending connection before it
+/// checks the shutdown signal again; a connection that arrives meanwhile
+/// ends the wait at once. After a failed `accept` it naps this long.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for [`Server::start`].
@@ -274,10 +277,12 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, pool: PollerPool) {
                 pool.register(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                ctx.signal.wait_timeout(ACCEPT_POLL);
+                readiness::wait_ready(&mut [PollFd::new(listener, true, false)], ACCEPT_POLL);
             }
             Err(_) => {
                 // Transient accept failure (e.g. EMFILE); back off briefly.
+                // Not a readiness wait: the pending connection keeps the
+                // listener readable, so that wait would return at once.
                 ctx.signal.wait_timeout(ACCEPT_POLL);
             }
         }
@@ -767,7 +772,7 @@ fn route(
         "metrics" => {
             let snapshot = hmdiv_obs::snapshot();
             #[allow(clippy::cast_precision_loss)]
-            let par_threshold = crate::batcher::par_threshold() as f64;
+            let par_threshold = crate::batcher::PAR_THRESHOLD as f64;
             // Histogram summaries (count, sum, and interpolated
             // percentiles) for every registered histogram, `serve.*`
             // stage latencies included, in deterministic name order.
@@ -803,8 +808,6 @@ fn route(
                     Json::str(hmdiv_obs::export::to_prometheus(&snapshot)),
                 ),
                 ("histograms".to_owned(), Json::Obj(histograms)),
-                // The effective batcher parallelism threshold (default or
-                // HMDIV_SERVE_PAR_THRESHOLD override).
                 ("par_threshold".to_owned(), Json::Num(par_threshold)),
                 ("queue_depth".to_owned(), Json::Num(queue_depth)),
                 ("queue_cost".to_owned(), Json::Num(queue_cost)),

@@ -7,7 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hmdiv_core::extrapolate::Scenario;
 use hmdiv_core::{paper, ClassId, UniverseManifest};
@@ -759,6 +759,35 @@ fn read_line(raw: &mut TcpStream) -> String {
         }
         response.push(byte[0] as char);
     }
+}
+
+#[test]
+fn fresh_connections_are_answered_well_inside_one_accept_poll() {
+    // The accept loop waits on the listener's readiness, so a connection
+    // made right after the previous one is taken at once, not after the
+    // 20 ms accept poll. The bounds are generous for noisy hosts.
+    let server = start();
+    let mut latencies: Vec<Duration> = (0..21)
+        .map(|_| {
+            let start = Instant::now();
+            let mut raw = TcpStream::connect(server.addr()).unwrap();
+            raw.write_all(b"{\"id\":1,\"verb\":\"ping\"}\n").unwrap();
+            let line = read_line(&mut raw);
+            assert!(line.contains("\"pong\":true"), "got: {line}");
+            start.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median fresh-connection ping took {median:?}"
+    );
+    // The listener wait still times out, so shutdown is noticed.
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
 }
 
 #[test]

@@ -19,7 +19,6 @@
 //! the operating threshold and the film difficulty.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_prob::Probability;
 
@@ -27,7 +26,7 @@ use crate::case::Case;
 use crate::SimError;
 
 /// Output of the CADT on one case.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CadtOutput {
     /// For each lesion of the case (by index), whether it was prompted.
     /// Empty for normal cases.
@@ -58,7 +57,7 @@ impl CadtOutput {
 }
 
 /// CADT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cadt {
     /// Operating threshold in `[0, 1]`: higher prompts more.
     pub operating: f64,

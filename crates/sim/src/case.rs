@@ -8,12 +8,10 @@
 //! so their failures are correlated *through the case*, exactly the
 //! structure the paper's conditional-on-demand modelling captures.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_core::ClassId;
 
 /// Ground truth of a case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaseKind {
     /// The patient has cancer: the correct decision is *recall*.
     Cancer,
@@ -30,7 +28,7 @@ impl CaseKind {
 }
 
 /// A suspicious feature on the films of a cancer case.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lesion {
     /// How hard the lesion is to see, in `[0, 1]`; 0 = obvious, 1 = nearly
     /// invisible.
@@ -38,7 +36,7 @@ pub struct Lesion {
 }
 
 /// One screening case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Case {
     /// Sequence number within its generating run.
     pub id: u64,

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_core::{ClassId, ClassParams, ClassUniverse, ModelError, ModelParams, SequentialModel};
 use hmdiv_prob::counts::{JointCounts, StratifiedCounts};
@@ -23,7 +22,7 @@ use crate::protocol::ReadingTeam;
 use crate::SimError;
 
 /// The simulated world: a population screened by a team.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     /// The case population.
     pub population: PopulationSpec,
@@ -32,7 +31,7 @@ pub struct World {
 }
 
 /// Run parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of cases to screen.
     pub cases: u64,
@@ -326,7 +325,7 @@ impl Merge for DenseTallies {
 }
 
 /// Aggregated outcome tables from a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     cancer: StratifiedCounts<ClassId>,
     normal: StratifiedCounts<ClassId>,

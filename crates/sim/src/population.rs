@@ -8,7 +8,6 @@
 //! screened population".
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_core::{ClassId, ClassUniverse};
 use hmdiv_prob::bayes::Beta;
@@ -18,7 +17,7 @@ use crate::case::{Case, CaseKind, Lesion};
 use crate::SimError;
 
 /// Static description of one demand class's case generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassSpec {
     /// The class label.
     pub class: ClassId,
@@ -101,7 +100,7 @@ impl ClassSpec {
 }
 
 /// The screened population: prevalence plus per-side class mixes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSpec {
     prevalence: Probability,
     cancer_mix: Categorical<ClassSpec>,

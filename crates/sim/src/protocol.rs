@@ -8,7 +8,6 @@
 //! model describes. Double reading and arbitration (§7) are also provided.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_core::ClassId;
 
@@ -18,7 +17,7 @@ use crate::reader::Reader;
 use crate::SimError;
 
 /// How multiple readers' decisions combine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecisionRule {
     /// The single (first) reader decides.
@@ -30,7 +29,7 @@ pub enum DecisionRule {
 }
 
 /// The co-ordination procedure between each reader and the CADT (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Procedure {
     /// Procedure 2 of §3 / Fig. 3: the reader processes the films together
@@ -47,7 +46,7 @@ pub enum Procedure {
 
 /// A reading team: optional CADT, one or more readers, a decision rule,
 /// and a co-ordination procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadingTeam {
     /// The CADT, if the protocol is computer-assisted.
     pub cadt: Option<Cadt>,
@@ -120,7 +119,7 @@ impl ReadingTeam {
 }
 
 /// The observable outcome of screening one case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseRecord {
     /// The case's demand class.
     pub class: ClassId,

@@ -22,7 +22,6 @@
 //!   persuade the reader to recall a healthy patient.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hmdiv_prob::Probability;
 
@@ -31,7 +30,7 @@ use crate::case::Case;
 use crate::SimError;
 
 /// The reader's final decision on a case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReaderDecision {
     /// Whether the reader recalls the patient.
     pub recall: bool,
@@ -43,7 +42,7 @@ pub struct ReaderDecision {
 /// Behavioural parameters of one reader.
 ///
 /// All probabilities in `[0, 1]`; sharpness values strictly positive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reader {
     /// Perceptual skill in `[0, 1]`: the subtlety level at which unaided
     /// detection is 50% on an average film.

@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::cadt::Cadt;
 use crate::case::CaseKind;
@@ -27,7 +26,7 @@ use crate::reader::Reader;
 use crate::SimError;
 
 /// Drift dynamics for a session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Added to the lapse rate per 1000 cases read (fatigue), clamped so the
     /// rate stays in `[0, 1]`.
@@ -77,7 +76,7 @@ impl DriftConfig {
 }
 
 /// Summary of one batch of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSummary {
     /// Batch index (0-based).
     pub batch: usize,

@@ -1,7 +1,5 @@
 //! Trial specifications.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_prob::Probability;
 
 use crate::TrialError;
@@ -12,7 +10,7 @@ use crate::TrialError;
 /// *enriched* — its cancer prevalence is far above the field's — which is
 /// exactly why the per-class parameters must be carried to the field via the
 /// model rather than the trial's raw failure rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialDesign {
     name: String,
     cases: u64,

@@ -5,8 +5,6 @@
 //! triple with confidence intervals, and optionally full Beta posteriors for
 //! uncertainty propagation.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_core::interval::{ClassParamBox, IntervalModel};
 use hmdiv_core::uncertainty::{ClassPosterior, ModelPosterior};
 use hmdiv_core::{
@@ -19,7 +17,7 @@ use crate::run::TrialData;
 use crate::TrialError;
 
 /// One class's estimated parameter triple with confidence intervals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassEstimate {
     /// The class.
     pub class: ClassId,
@@ -92,7 +90,7 @@ pub fn estimate_class(
 }
 
 /// The full estimation product of a trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatedParams {
     /// Per-class estimates, in class order.
     pub classes: Vec<ClassEstimate>,

@@ -7,8 +7,6 @@
 //! enough difficult cases **on which the machine fails** — a double rarity
 //! that enrichment and oversampling exist to fight.
 
-use serde::{Deserialize, Serialize};
-
 use hmdiv_core::{DemandProfile, SequentialModel};
 use hmdiv_prob::special::normal_quantile;
 
@@ -51,7 +49,7 @@ pub fn sample_size_for_proportion(p: f64, margin: f64, level: f64) -> Result<u64
 }
 
 /// The per-class case requirements of a planned trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassRequirement {
     /// The class.
     pub class: hmdiv_core::ClassId,
@@ -75,7 +73,7 @@ impl ClassRequirement {
 }
 
 /// A full trial plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialPlan {
     /// Per-class requirements, in profile order.
     pub per_class: Vec<ClassRequirement>,

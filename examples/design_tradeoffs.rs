@@ -13,7 +13,7 @@
 //! cargo run --example design_tradeoffs
 //! ```
 
-use hmdiv::core::design::{allocate_improvement_budget, rank_improvement_targets};
+use hmdiv::core::design::{allocate_improvement_budget_pruned, rank_improvement_targets};
 use hmdiv::core::importance::{machine_response_lines, system_lower_bound};
 use hmdiv::core::tradeoff::{MachineRoc, TradeoffStudy, TwoSidedModel};
 use hmdiv::core::{paper, ClassParams, DemandProfile, ModelParams, SequentialModel};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lever.max_benefit
         );
     }
-    let alloc = allocate_improvement_budget(&model, &field, 4, 2.0)?;
+    let (alloc, _) = allocate_improvement_budget_pruned(&model, &field, 4, 2.0, 1)?;
     println!("greedy budget (4 halvings of PMf): {:?}", alloc.allocation);
     println!("field failure {:.4} -> {:.4}\n", alloc.before, alloc.after);
 
