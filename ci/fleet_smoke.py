@@ -30,12 +30,19 @@ Drives the whole failover story against three externally-started
                    `fleet.router.wakeups` counter; the router must run
                    with --metrics). An idle router that spins instead of
                    waiting on socket readiness fails both.
+--idle-replica   — the same for a replica (REPLICA_PID, started with
+                   --metrics): at most 10% of one CPU over 2 s with one
+                   idle connection held open, and at most four
+                   `serve.poll.wakeups` per poller per shard wait timeout
+                   (20 ms). A poller shard that spins, say on a readable
+                   EOF left in its wait, fails both.
 
 Usage: fleet_smoke.py            HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --degraded HOST ROUTER_PORT STATE_OUT
        fleet_smoke.py --recovered HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --shutdown HOST ROUTER_PORT
        fleet_smoke.py --idle-cpu HOST ROUTER_PORT ROUTER_PID
+       fleet_smoke.py --idle-replica HOST REPLICA_PORT REPLICA_PID
 
 R1..R3 are the replica ports (for direct manifest comparison).
 """
@@ -52,6 +59,9 @@ PAPER_CLASSES = {
 }
 FIELD_PROFILE = {"easy": 0.9, "difficult": 0.1}
 FIELD_FAILURE = 0.18902
+# The timeout of a replica poller shard's readiness wait (`IDLE_WAIT` in
+# crates/serve/src/poller.rs), in seconds.
+SHARD_IDLE_WAIT = 0.020
 
 
 class Session:
@@ -216,7 +226,7 @@ def recovered(host, port, state_out, replica_ports):
     print("recovered fleet serves bit-identically; fleet smoke OK")
 
 
-def router_cpu_ticks(pid):
+def cpu_ticks(pid):
     """utime + stime of process PID, in clock ticks."""
     with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
         stat = f.read()
@@ -226,30 +236,44 @@ def router_cpu_ticks(pid):
     return int(fields[11]) + int(fields[12])
 
 
-def router_wakeups(host, port):
-    prometheus = Session(host, port).request("metrics")["prometheus"]
-    for line in prometheus.splitlines():
-        if line.startswith("hmdiv_fleet_router_wakeups "):
+def counter(metrics, name):
+    for line in metrics["prometheus"].splitlines():
+        if line.startswith(name + " "):
             return int(line.split()[1])
-    raise RuntimeError("router metrics carry no fleet.router.wakeups counter")
+    raise RuntimeError(f"metrics carry no {name} counter")
 
 
-def idle_cpu(host, port, pid):
+def check_idle(host, port, pid, label, wakeup_counter, wakeup_bound):
+    """With one idle connection held open for 2 s, process PID may use at
+    most 10% of one CPU and wake at most wakeup_bound(elapsed, metrics)
+    times."""
     idle = Session(host, port)  # connected, never sends
     window = 2.0
     tick = os.sysconf("SC_CLK_TCK")
-    wakeups_before = router_wakeups(host, port)
-    start, ticks_before = time.monotonic(), router_cpu_ticks(pid)
+    before = Session(host, port).request("metrics")
+    start, ticks_before = time.monotonic(), cpu_ticks(pid)
     time.sleep(window)
-    ticks_after, elapsed = router_cpu_ticks(pid), time.monotonic() - start
-    wakeups = router_wakeups(host, port) - wakeups_before
+    ticks_after, elapsed = cpu_ticks(pid), time.monotonic() - start
+    after = Session(host, port).request("metrics")
+    wakeups = counter(after, wakeup_counter) - counter(before, wakeup_counter)
     share = (ticks_after - ticks_before) / tick / elapsed
-    bound = 4 * (int(elapsed / 0.002) + 1)
-    print(f"idle router: {share:.1%} of one CPU, {wakeups} wakeups "
+    bound = wakeup_bound(elapsed, after)
+    print(f"idle {label}: {share:.1%} of one CPU, {wakeups} wakeups "
           f"in {elapsed:.2f} s (bounds 10%, {bound})")
-    assert share <= 0.10, f"idle router used {share:.1%} of one CPU"
-    assert wakeups <= bound, f"idle router woke {wakeups} times in {elapsed:.2f} s"
+    assert share <= 0.10, f"idle {label} used {share:.1%} of one CPU"
+    assert wakeups <= bound, f"idle {label} woke {wakeups} times in {elapsed:.2f} s"
     idle.sock.close()
+
+
+def idle_cpu(host, port, pid):
+    check_idle(host, port, pid, "router", "hmdiv_fleet_router_wakeups",
+               lambda elapsed, _: 4 * (int(elapsed / 0.002) + 1))
+
+
+def idle_replica(host, port, pid):
+    check_idle(host, port, pid, "replica", "hmdiv_serve_poll_wakeups",
+               lambda elapsed, metrics: 4 * int(metrics["pollers"])
+               * (int(elapsed / SHARD_IDLE_WAIT) + 1))
 
 
 def shutdown(host, port):
@@ -272,6 +296,8 @@ def main():
         shutdown(sys.argv[2], int(sys.argv[3]))
     elif sys.argv[1] == "--idle-cpu":
         idle_cpu(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+    elif sys.argv[1] == "--idle-replica":
+        idle_replica(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     else:
         baseline(
             sys.argv[1],

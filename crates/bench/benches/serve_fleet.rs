@@ -2,7 +2,7 @@
 //! driven through the `hmdiv-fleet` consistent-hash router at 1, 2, and
 //! 4 replicas.
 //!
-//! Each replica is pinned to a *single* executor thread and a single
+//! Each replica is pinned to a *single* evaluation thread and a single
 //! poller (`threads: 1, poller_threads: 1`), so adding replicas is the
 //! only way the fleet gains compute — the scaling curve measures the
 //! router's fan-out, not incidental intra-replica parallelism. On a

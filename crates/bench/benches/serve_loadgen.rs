@@ -67,8 +67,8 @@ fn main() {
     );
     let steps: Vec<Step> = if full {
         // The acceptance curve: hold >=1000 keep-alive sockets on <=8
-        // poller threads and sweep pipeline depth so load rises past the
-        // admission capacity, exposing the shed knee.
+        // poller threads and sweep pipeline depth so load rises; the
+        // ledger shows whether any request sheds on the way.
         [1, 2, 4, 8]
             .into_iter()
             .map(|depth| Step {

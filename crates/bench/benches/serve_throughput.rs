@@ -4,8 +4,8 @@
 //!
 //! 1. `round_trips`: requests/second at 1, 4 and 8 concurrent
 //!    connections, comparing one-request-per-round-trip clients
-//!    (`unbatched`) against pipelined clients whose requests the server's
-//!    micro-batching executor can coalesce (`batched`).
+//!    (`unbatched`) against pipelined clients (`batched`), whose requests
+//!    the server frames and answers together in one pass per read.
 //! 2. `scenarios_1k`: a 1000-scenario design sweep issued as 1000
 //!    synchronous round trips vs 1000 pipelined single-scenario requests
 //!    vs one request carrying all 1000 scenarios. The pipelined/batched

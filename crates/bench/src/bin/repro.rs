@@ -35,9 +35,14 @@
 //! verb); `--trace-dump PATH` additionally dumps the recorder to `PATH`
 //! whenever a request sheds (`overloaded` / `deadline_exceeded`).
 //! `--pollers N` sizes the readiness-poller pool that multiplexes the
-//! connections, and `--snapshot-dir DIR` warm-starts the registry from a
-//! previous `save` (and becomes the default target for the `save` and
-//! `restore` verbs).
+//! connections and answers each request to completion.
+//! `--queue-capacity N` bounds the summed cost (scalar evaluations) of
+//! the evaluations in progress across all pollers; an evaluation beyond
+//! it is shed as `overloaded`. `--threads N` sets the workers that one
+//! sweep of at least 1,024 scenarios, or a cohort evaluation, fans out
+//! to; results are identical at any value. `--snapshot-dir DIR`
+//! warm-starts the registry from a previous `save` (and becomes the
+//! default target for the `save` and `restore` verbs).
 //!
 //! `repro serve --fleet N` instead starts N single-replica child
 //! processes on ephemeral ports plus the `hmdiv-fleet` consistent-hash

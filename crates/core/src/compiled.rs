@@ -1134,43 +1134,6 @@ impl CompiledScenarios {
         self.bound.push(bound);
     }
 
-    /// The scenarios of `parts`, all bound to one model, back to back in
-    /// one sweep sized up front; `None` when there are no parts.
-    ///
-    /// # Panics
-    ///
-    /// If the parts are bound to different universes.
-    #[must_use]
-    pub fn concat(parts: &[&CompiledScenarios]) -> Option<CompiledScenarios> {
-        let first = parts.first()?;
-        let mut all = CompiledScenarios {
-            universe: Arc::clone(&first.universe),
-            bound: Vec::with_capacity(parts.iter().map(|p| p.bound.len()).sum()),
-            overlay: Vec::with_capacity(parts.iter().map(|p| p.overlay.len()).sum()),
-            general: Vec::new(),
-            errors: Vec::new(),
-        };
-        for part in parts {
-            assert!(
-                Arc::ptr_eq(&all.universe, &part.universe),
-                "concatenated sweeps are bound to one model"
-            );
-            let (o, g, e) = (all.overlay.len(), all.general.len(), all.errors.len());
-            all.bound.extend(part.bound.iter().map(|b| match *b {
-                Bound::Overlay { start, end } => Bound::Overlay {
-                    start: start + o,
-                    end: end + o,
-                },
-                Bound::General(i) => Bound::General(i + g),
-                Bound::Failed(i) => Bound::Failed(i + e),
-            }));
-            all.overlay.extend_from_slice(&part.overlay);
-            all.general.extend_from_slice(&part.general);
-            all.errors.extend_from_slice(&part.errors);
-        }
-        Some(all)
-    }
-
     /// Number of scenarios.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -170,9 +170,9 @@ pub fn observe_count(name: &str, value: u64) {
 
 /// Records the elapsed time since `start` into the duration histogram
 /// `name` (no-op while disabled). Complements [`span`] when a timed region
-/// begins and ends on different threads — e.g. a request stamped on a
-/// connection thread and completed by a batch executor — where an RAII
-/// guard has no single owning scope.
+/// begins and ends in different scopes — e.g. a request admitted in one
+/// function and completed in another — where an RAII guard has no single
+/// owning scope.
 pub fn observe_since(name: &str, start: std::time::Instant) {
     if enabled_for(name) {
         global().observe_ns(

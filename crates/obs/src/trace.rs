@@ -65,9 +65,11 @@ pub enum Stage {
     Read = 0,
     /// Envelope + body parsing and verb routing.
     Parse = 1,
-    /// Waiting in the bounded executor queue.
+    /// From admission against the evaluation bound to the start of
+    /// evaluation.
     Queue = 2,
-    /// Batch formation: grouping the flush into dense calls.
+    /// Batch formation (zero-length when each request is evaluated
+    /// alone).
     Batch = 3,
     /// The dense evaluation (or inline verb work).
     Eval = 4,
@@ -152,9 +154,8 @@ struct StageCell {
     dur_ns: AtomicU64,
 }
 
-/// Shared per-request stage stamps, safe to fill from several threads
-/// (the connection thread owns read/parse/serialize/write; the batch
-/// executor fills queue/batch/eval).
+/// Per-request stage stamps, safe to fill from several threads (the
+/// server's poller shard fills every stage of the requests it answers).
 pub struct StageSet {
     origin: Instant,
     cells: [StageCell; 7],
@@ -210,7 +211,7 @@ impl StageSet {
         self.batch_size.store(size, Ordering::Relaxed);
     }
 
-    /// Records the executor queue depth observed at admission.
+    /// Records the queue depth observed at admission.
     pub fn set_queue_depth(&self, depth: u64) {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }

@@ -2,8 +2,8 @@
 //!
 //! One request per call with [`Client::request`], or many at once with
 //! [`Client::pipeline`] — the latter writes every request before reading
-//! any response, which is what lets the server's executor coalesce them
-//! into dense batch evaluations.
+//! any response, so the server frames and answers them together in one
+//! pass per read.
 //!
 //! Reconnection is **off by default**: a connection failure surfaces as a
 //! typed [`ServeError::Io`]. Opting in with [`Client::with_retry`] makes

@@ -14,7 +14,7 @@ use hmdiv_core::ModelError;
 
 use crate::json::Json;
 
-/// Error type for the serve crate: protocol, registry, executor, and
+/// Error type for the serve crate: protocol, registry, admission, and
 /// connection failures.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -51,20 +51,19 @@ pub enum ServeError {
         /// That diagnostic's message.
         detail: String,
     },
-    /// The bounded request queue is full; the client should back off and
-    /// retry. This is the explicit backpressure signal — the server sheds
-    /// load instead of buffering without bound.
+    /// Admitting the evaluation would push the cost of evaluations in
+    /// progress past the bound; the client should back off and retry.
+    /// This is the explicit backpressure signal — the server sheds load
+    /// instead of buffering without bound.
     Overloaded {
-        /// The queue capacity that was exhausted.
+        /// The admission capacity that was exhausted.
         capacity: usize,
     },
-    /// The request's deadline expired before the executor reached it.
+    /// The request's deadline expired before its evaluation started.
     DeadlineExceeded,
     /// The `trace` verb was called but the server was started without a
     /// flight recorder (tracing disabled).
     TraceDisabled,
-    /// The server is draining for shutdown and accepts no new work.
-    ShuttingDown,
     /// A request line exceeded the configured size limit. The offending
     /// line is discarded up to the next newline and the connection stays
     /// open — newline framing survives, so the client can keep going.
@@ -126,7 +125,6 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::DeadlineExceeded => "deadline_exceeded",
             ServeError::TraceDisabled => "trace_disabled",
-            ServeError::ShuttingDown => "shutting_down",
             ServeError::LineTooLong { .. } => "line_too_long",
             ServeError::Snapshot { .. } => "snapshot_error",
             ServeError::Io { .. } => "io",
@@ -179,7 +177,6 @@ impl fmt::Display for ServeError {
                 f,
                 "tracing is disabled on this server (start it with a trace capacity)"
             ),
-            ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::LineTooLong { limit } => {
                 write!(
                     f,
@@ -293,7 +290,6 @@ mod tests {
             ServeError::UnknownArtifact { id: "m0".into() },
             ServeError::DeadlineExceeded,
             ServeError::TraceDisabled,
-            ServeError::ShuttingDown,
             ServeError::LineTooLong { limit: 10 },
             ServeError::Snapshot {
                 detail: "bad file".into(),

@@ -1,5 +1,5 @@
-//! `hmdiv-serve`: a zero-dependency batched evaluation server for the
-//! hmdiv model stack.
+//! `hmdiv-serve`: a zero-dependency evaluation server for the hmdiv
+//! model stack.
 //!
 //! The paper's models are cheap to evaluate one at a time but are used in
 //! bulk — design sweeps, cohort studies, what-if grids. This crate turns
@@ -7,23 +7,24 @@
 //! external dependency: an event-driven TCP server over [`std::net`]
 //! speaking a JSON-lines protocol — a small fixed pool of readiness
 //! pollers multiplexing nonblocking sockets as per-connection state
-//! machines — a content-hash-addressed [`Registry`] of loaded models
-//! with pre-warmed compiled forms and disk snapshots (`save`/`restore`
-//! verbs; restarted servers warm-start under identical content ids),
-//! and a micro-batching [`Batcher`] that coalesces concurrent
-//! evaluation requests into dense batch calls on the deterministic
-//! parallel executor, admission-bounded by evaluation *cost* rather
-//! than request count.
+//! machines — and a content-hash-addressed [`Registry`] of loaded
+//! models with pre-warmed compiled forms and disk snapshots
+//! (`save`/`restore` verbs; restarted servers warm-start under identical
+//! content ids). Each poller answers the requests it frames on its own
+//! thread, in order, running each evaluation to completion on the
+//! compiled kernel; a large sweep fans out on the deterministic parallel
+//! executor. Admission is bounded by evaluation *cost* rather than
+//! request count.
 //!
 //! Results are **bit-identical** to direct in-process evaluation: the
 //! order-preserving [`json`] object model keeps profile binding order,
-//! `f64` values render in shortest round-trip form, and the batch entry
-//! points are thread-count-invariant.
+//! `f64` values render in shortest round-trip form, and the parallel
+//! entry points are thread-count-invariant.
 //!
-//! Robustness is first-class: per-request deadlines, a bounded queue with
-//! an explicit `overloaded` rejection instead of unbounded buffering,
-//! typed wire errors for every model-layer failure, and graceful
-//! shutdown that drains in-flight work.
+//! Robustness is first-class: per-request deadlines, a bound on the cost
+//! of evaluations in progress with an explicit `overloaded` rejection
+//! beyond it, typed wire errors for every model-layer failure, and
+//! graceful shutdown that answers every request already read.
 //!
 //! Observability is too: with [`ServerConfig::trace_capacity`] set, every
 //! request is traced through the read → parse → queue → batch → eval →
@@ -77,7 +78,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod batcher;
+mod admission;
 pub mod client;
 pub mod error;
 pub mod json;
@@ -92,7 +93,6 @@ pub mod registry;
 pub mod server;
 pub mod shutdown;
 
-pub use batcher::{Batcher, Outcome, Ticket, Waker, Work};
 pub use client::{Client, RetryPolicy, TracedResponse};
 pub use error::ServeError;
 pub use json::Json;

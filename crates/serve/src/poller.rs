@@ -3,89 +3,96 @@
 //!
 //! Accepted sockets are registered round-robin onto poller **shards**.
 //! Each shard owns its connections outright — no cross-thread connection
-//! state — and drives a per-connection state machine through four moves
-//! per sweep:
+//! state — and runs every request it frames to completion on its own
+//! thread. A pass over a connection makes three moves:
 //!
 //! 1. **read**: drain readable bytes into the resumable
 //!    [`LineReader`](crate::protocol::LineReader) (budgeted, and skipped
 //!    while the write buffer is over the high-watermark — backpressure
 //!    propagates to the client's TCP window instead of server memory);
-//! 2. **route**: frame complete lines and route each into a
-//!    [`RequestSlot`] (queued work carries a [`Waker`] that rings this
-//!    shard's bell when the executor replies);
-//! 3. **pump**: resolve the contiguous head of the in-order slot queue —
-//!    inline answers immediately, queued answers via
-//!    [`Ticket::try_take`](crate::batcher::Ticket::try_take) — and
-//!    serialize them into the write buffer;
-//! 4. **write**: push buffered bytes until the socket would block,
+//! 2. **answer**: frame each complete line and answer it — parse, admit,
+//!    evaluate, render — into the write buffer, in request order. A reply
+//!    that leaves at least [`CHUNK`] bytes buffered is written at once, so
+//!    the client reads it while later lines are answered; smaller replies
+//!    leave together in the pass's write;
+//! 3. **write**: push buffered bytes until the socket would block,
 //!    completing trace records as their byte ranges reach the kernel.
 //!
-//! Responses stay in request order per connection (the slot queue is the
-//! order book), so pipelined clients observe exactly the semantics of the
-//! old thread-per-connection server — replies are bit-identical.
+//! Each line is answered before the next is framed, so pipelined clients
+//! get their replies in request order, bit-identical to a direct
+//! in-process evaluation.
 //!
-//! With no readiness syscall available (std-only), idle shards sleep on a
-//! condvar with exponential backoff (100µs → 2ms): wakers and the accept
-//! loop ring the bell for instant wakeups on executor replies and new
-//! connections, while fresh request bytes are discovered within one
-//! backoff step. A shard that owns exactly one quiescent connection drops
-//! into a short blocking read instead — the common single-client case
-//! keeps its thread-per-connection latency.
+//! When a pass moves nothing, the shard blocks in one `poll(2)` wait
+//! ([`readiness::wait_ready`]) on its connections and its **doorbell**, a
+//! socket pair that the accept loop rings after handing the shard a
+//! connection and at shutdown. A connection asks to be read unless it is
+//! at EOF, dead, shutting down or over the watermark — a level-triggered
+//! EOF left in the set would end every wait and spin the shard — and to
+//! be written while bytes are buffered. The shard empties the doorbell
+//! after each wait and before it takes its inbox, so a handoff that lands
+//! mid-pass ends the next wait. [`IDLE_WAIT`] bounds the wait only as a
+//! backstop.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::batcher::Waker;
 use crate::error::ServeError;
+use crate::json::Json;
 use crate::protocol::{LineEvent, LineReader};
-use crate::server::{self, Ctx, PendingTrace, RequestSlot};
+use crate::readiness::{self, PollFd};
+use crate::server::{self, Ctx, PendingTrace};
 
-/// Read budget per connection per sweep, so one firehose client cannot
+/// Read budget per connection per pass, so one firehose client cannot
 /// starve its shard-mates.
 const READ_BUDGET: usize = 256 * 1024;
-/// Per-read chunk size.
+/// Per-read chunk size, and the buffered reply size that is written
+/// without waiting for the end of the pass.
 const CHUNK: usize = 16 * 1024;
 /// Buffered-response bytes above which a connection stops being read —
 /// the slow-consumer backpressure threshold.
 const WRITE_HIGH_WATERMARK: usize = 1 << 20;
-/// Idle backoff bounds for the shard sleep.
-const BACKOFF_MIN: Duration = Duration::from_micros(100);
-const BACKOFF_MAX: Duration = Duration::from_millis(2);
-/// Blocking-read timeout for the single-quiescent-connection fast path.
-const SOLO_READ_TIMEOUT: Duration = Duration::from_millis(5);
+/// Timeout of the shard's readiness wait. Every event a shard acts on
+/// ends the wait sooner, so this is only a backstop.
+const IDLE_WAIT: Duration = Duration::from_millis(20);
 
-/// New-connection handoff plus the shard's wakeup bell.
-struct Inbox {
-    conns: Vec<TcpStream>,
-    /// Set by [`Shard::wake`]; cleared when the shard adopts the inbox.
-    /// Checked before sleeping so a wake that lands mid-sweep is never
-    /// lost.
-    notified: bool,
-}
-
-/// One poller shard's shared half: the accept loop and executor wakers
-/// talk to the shard thread exclusively through this.
+/// One poller shard's shared half: the accept loop hands it connections
+/// through here.
 struct Shard {
-    inbox: Mutex<Inbox>,
-    bell: Condvar,
+    inbox: Mutex<Vec<TcpStream>>,
+    /// The doorbell's write end; the shard thread owns the read end.
+    bell: UnixStream,
 }
 
 impl Shard {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inbox> {
+    fn inbox(&self) -> MutexGuard<'_, Vec<TcpStream>> {
         self.inbox
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn wake(&self) {
-        self.lock().notified = true;
-        self.bell.notify_all();
+    /// Queues `stream` for the shard and rings its doorbell.
+    fn hand(&self, stream: TcpStream) {
+        self.inbox().push(stream);
+        self.ring();
     }
+
+    /// Writes one byte to the doorbell. `WouldBlock` means the doorbell
+    /// is full, so a ring is already pending.
+    fn ring(&self) {
+        drop((&self.bell).write(&[1]));
+    }
+}
+
+/// Empties a doorbell: the pass that follows answers every ring it held.
+fn silence(mut doorbell: &UnixStream) {
+    let mut rings = [0_u8; 64];
+    while matches!(doorbell.read(&mut rings), Ok(n) if n > 0) {}
 }
 
 /// The fixed pool of readiness-poller threads.
@@ -110,19 +117,19 @@ impl PollerPool {
         let mut shards = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
+            let (bell, doorbell) = UnixStream::pair()?;
+            bell.set_nonblocking(true)?;
+            doorbell.set_nonblocking(true)?;
             let shard = Arc::new(Shard {
-                inbox: Mutex::new(Inbox {
-                    conns: Vec::new(),
-                    notified: false,
-                }),
-                bell: Condvar::new(),
+                inbox: Mutex::new(Vec::new()),
+                bell,
             });
             let thread_shard = Arc::clone(&shard);
             let thread_ctx = Arc::clone(ctx);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("hmdiv-serve-poll-{i}"))
-                    .spawn(move || run_shard(&thread_shard, &thread_ctx))?,
+                    .spawn(move || run_shard(&thread_shard, &doorbell, &thread_ctx))?,
             );
             shards.push(shard);
         }
@@ -135,17 +142,16 @@ impl PollerPool {
 
     /// Hands an accepted socket to the next shard, round-robin.
     pub(crate) fn register(&self, stream: TcpStream) {
-        let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
-        shard.lock().conns.push(stream);
-        shard.wake();
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.shards[i].hand(stream);
     }
 
     /// Rings every shard (the shutdown signal is already latched) and
-    /// joins them; each shard finishes writing the responses it owes
-    /// before exiting.
+    /// joins them; each shard answers the lines it has read and finishes
+    /// writing what it owes before exiting.
     pub(crate) fn stop_and_join(self) {
         for shard in &self.shards {
-            shard.wake();
+            shard.ring();
         }
         for handle in self.handles {
             drop(handle.join());
@@ -153,36 +159,25 @@ impl PollerPool {
     }
 }
 
-fn run_shard(shard: &Arc<Shard>, ctx: &Arc<Ctx>) {
+fn run_shard(shard: &Shard, doorbell: &UnixStream, ctx: &Ctx) {
     let mut conns: Vec<Conn> = Vec::new();
-    let waker: Waker = {
-        let shard = Arc::clone(shard);
-        Arc::new(move || shard.wake())
-    };
-    let mut backoff = BACKOFF_MIN;
+    let mut interest = Vec::new();
     loop {
         hmdiv_obs::counter_add("serve.poll.wakeups", 1);
         let shutdown = ctx.signal.is_requested();
-        // Adopt newcomers and collect the bell state in one lock.
-        let (newcomers, notified) = {
-            let mut inbox = shard.lock();
-            let notified = inbox.notified;
-            inbox.notified = false;
-            (std::mem::take(&mut inbox.conns), notified)
-        };
-        let mut progress = notified;
+        let newcomers = std::mem::take(&mut *shard.inbox());
         for stream in newcomers {
             match Conn::adopt(stream, ctx.max_line_bytes) {
                 Some(conn) => {
                     conns.push(conn);
                     server::connection_opened(ctx);
-                    progress = true;
                 }
                 None => hmdiv_obs::counter_add("serve.conn_setup_failures", 1),
             }
         }
+        let mut progress = false;
         for conn in &mut conns {
-            progress |= conn.sweep(ctx, &waker, shutdown);
+            progress |= conn.pass(ctx, shutdown);
         }
         conns.retain(|conn| {
             if conn.done(shutdown) {
@@ -192,35 +187,30 @@ fn run_shard(shard: &Arc<Shard>, ctx: &Arc<Ctx>) {
                 true
             }
         });
-        if shutdown && conns.is_empty() && shard.lock().conns.is_empty() {
+        if shutdown && conns.is_empty() && shard.inbox().is_empty() {
             return;
         }
-        if progress {
-            backoff = BACKOFF_MIN;
-            continue;
+        if !progress {
+            wait(doorbell, &conns, shutdown, &mut interest);
+            // Before the signal and the inbox are read again: a ring
+            // that lands after this stays pending and ends the next wait.
+            silence(doorbell);
         }
-        // Fast path: a lone idle connection gets a real blocking read so
-        // a single-client request–response loop pays no poll latency.
-        if !shutdown && conns.len() == 1 && conns[0].quiescent() && shard.lock().conns.is_empty() {
-            if conns[0].blocking_read(SOLO_READ_TIMEOUT) {
-                backoff = BACKOFF_MIN;
-            }
-            continue;
-        }
-        // Idle: sleep on the bell unless a wake already landed.
-        {
-            let inbox = shard.lock();
-            if !inbox.notified && inbox.conns.is_empty() {
-                drop(
-                    shard
-                        .bell
-                        .wait_timeout(inbox, backoff)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
-            }
-        }
-        backoff = (backoff * 2).min(BACKOFF_MAX);
     }
+}
+
+/// Blocks until the doorbell rings, a connection is ready for what it
+/// asks, or [`IDLE_WAIT`] passes.
+fn wait(doorbell: &UnixStream, conns: &[Conn], shutdown: bool, interest: &mut Vec<PollFd>) {
+    interest.clear();
+    interest.push(PollFd::new(doorbell, true, false));
+    for conn in conns {
+        let (read, write) = (conn.wants_read(shutdown), conn.out.pending() > 0);
+        if read || write {
+            interest.push(PollFd::new(&conn.stream, read, write));
+        }
+    }
+    readiness::wait_ready(interest, IDLE_WAIT);
 }
 
 /// A byte range of the write buffer whose flush completes a traced
@@ -281,9 +271,6 @@ struct Conn {
     stream: TcpStream,
     reader: LineReader,
     chunk: Vec<u8>,
-    /// In-order request slots; responses resolve head-first so pipelined
-    /// replies keep request order.
-    slots: VecDeque<RequestSlot>,
     out: OutBuf,
     /// First socket bytes of the current read batch (the read-stage start
     /// for the requests they frame).
@@ -296,14 +283,13 @@ impl Conn {
     /// Puts the socket into multiplexed mode; `None` if setup syscalls
     /// fail (the stream drops, resetting the connection).
     fn adopt(stream: TcpStream, max_line_bytes: usize) -> Option<Conn> {
-        // Nagle would defeat micro-batching's latency win on small lines.
+        // Nagle would hold back small replies behind unacknowledged ones.
         drop(stream.set_nodelay(true));
         stream.set_nonblocking(true).ok()?;
         Some(Conn {
             stream,
             reader: LineReader::new(max_line_bytes),
             chunk: vec![0_u8; CHUNK],
-            slots: VecDeque::new(),
             out: OutBuf::new(),
             read_start: None,
             peer_closed: false,
@@ -311,74 +297,30 @@ impl Conn {
         })
     }
 
+    /// Whether the connection should be read: not at EOF, dead or
+    /// shutting down, and not over the write watermark.
+    fn wants_read(&self, shutdown: bool) -> bool {
+        !self.dead && !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK
+    }
+
     /// One full state-machine pass; returns whether anything moved.
-    fn sweep(&mut self, ctx: &Ctx, waker: &Waker, shutdown: bool) -> bool {
+    fn pass(&mut self, ctx: &Ctx, shutdown: bool) -> bool {
         let mut progress = false;
-        if !self.dead && !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK
-        {
+        if self.wants_read(shutdown) {
             progress |= self.read_some();
         }
-        progress |= self.route_new_lines(ctx, waker);
-        progress |= self.pump();
+        progress |= self.answer_lines(ctx);
         progress |= self.write_some(ctx);
         progress
     }
 
-    /// Nothing in flight, nothing buffered: safe to block on this
-    /// connection alone.
-    fn quiescent(&self) -> bool {
-        !self.dead
-            && !self.peer_closed
-            && self.slots.is_empty()
-            && self.out.pending() == 0
-            && self.out.marks.is_empty()
-            && self.reader.buffered() == 0
-    }
-
     /// Everything owed has been written (or can never be): drop the
-    /// connection. A dead connection lingers until its in-flight slots
-    /// resolve so their trace records still complete.
+    /// connection.
     fn done(&self, shutdown: bool) -> bool {
-        if !self.slots.is_empty() {
-            return false;
-        }
-        if self.dead {
-            return true;
-        }
-        self.out.pending() == 0 && self.out.marks.is_empty() && (self.peer_closed || shutdown)
-    }
-
-    /// Fast path: one idle connection on the shard reads blockingly with
-    /// a short timeout instead of poll-sleeping. Returns whether bytes
-    /// arrived (or the peer state changed).
-    fn blocking_read(&mut self, timeout: Duration) -> bool {
-        if self.stream.set_nonblocking(false).is_err()
-            || self.stream.set_read_timeout(Some(timeout)).is_err()
-        {
-            self.dead = true;
-            return true;
-        }
-        let moved = match self.stream.read(&mut self.chunk) {
-            Ok(0) => {
-                self.peer_closed = true;
-                true
-            }
-            Ok(n) => {
-                self.read_start.get_or_insert_with(Instant::now);
-                self.reader.push(&self.chunk[..n]);
-                true
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
-            Err(e) if e.kind() == ErrorKind::Interrupted => false,
-            Err(_) => {
-                self.dead = true;
-                true
-            }
-        };
-        if self.stream.set_nonblocking(true).is_err() {
-            self.dead = true;
-        }
-        moved
+        self.dead
+            || (self.out.pending() == 0
+                && self.out.marks.is_empty()
+                && (self.peer_closed || shutdown))
     }
 
     /// Drains readable bytes (budgeted) into the line reader.
@@ -408,62 +350,37 @@ impl Conn {
         }
     }
 
-    /// Frames buffered bytes into lines and routes each into a slot.
-    /// Framing faults become error slots — the connection survives both
-    /// over-limit lines (the reader resyncs to the next newline) and
-    /// invalid UTF-8.
-    fn route_new_lines(&mut self, ctx: &Ctx, waker: &Waker) -> bool {
-        let mut events = Vec::new();
+    /// Frames each complete buffered line and answers it into the write
+    /// buffer, in order. Framing faults become error replies — the
+    /// connection survives both over-limit lines (the reader resyncs to
+    /// the next newline) and invalid UTF-8.
+    fn answer_lines(&mut self, ctx: &Ctx) -> bool {
+        let mut framed = None;
         while let Some(event) = self.reader.next_event() {
-            events.push(event);
-        }
-        if events.is_empty() {
-            return false;
-        }
-        // One receive timestamp for the whole batch, as in the threaded
-        // server: everything framed together traces the same read span.
-        let received = Instant::now();
-        let read_start = self.read_start.take();
-        for event in events {
-            let slot = match event {
-                LineEvent::Line(line) => {
-                    server::route_line(&line, received, read_start, ctx, Some(Arc::clone(waker)))
-                }
+            // One receive instant per pass: everything framed together
+            // traces the same read span.
+            let (received, read_start) =
+                *framed.get_or_insert_with(|| (Instant::now(), self.read_start.take()));
+            let (line, trace) = match event {
+                LineEvent::Line(line) => server::answer_line(&line, received, read_start, ctx),
                 LineEvent::TooLong { limit } => {
                     hmdiv_obs::counter_add("serve.line_too_long", 1);
-                    RequestSlot::framing_error(ServeError::LineTooLong { limit })
+                    let e = ServeError::LineTooLong { limit };
+                    (server::error_line(&Json::Null, None, &e), None)
                 }
-                LineEvent::InvalidUtf8 => RequestSlot::framing_error(ServeError::Parse {
-                    detail: "request line is not valid UTF-8".to_owned(),
-                }),
+                LineEvent::InvalidUtf8 => {
+                    let e = ServeError::Parse {
+                        detail: "request line is not valid UTF-8".to_owned(),
+                    };
+                    (server::error_line(&Json::Null, None, &e), None)
+                }
             };
-            self.slots.push_back(slot);
-        }
-        true
-    }
-
-    /// Resolves the contiguous head of the slot queue into response
-    /// bytes. Stops at the first slot still waiting on the executor so
-    /// responses keep request order.
-    fn pump(&mut self) -> bool {
-        let mut progress = false;
-        while let Some(front) = self.slots.front() {
-            let reply = match front.pending_ticket() {
-                Some(ticket) => match ticket.try_take() {
-                    Some(reply) => Some(reply),
-                    None => break, // head still in flight
-                },
-                None => None,
-            };
-            let slot = self
-                .slots
-                .pop_front()
-                .expect("front() just returned this slot");
-            let (line, trace) = server::finish_slot(slot, reply);
             self.out.append(line.as_bytes(), trace);
-            progress = true;
+            if self.out.pending() >= CHUNK {
+                self.write_some(ctx);
+            }
         }
-        progress
+        framed.is_some()
     }
 
     /// Writes buffered bytes until the socket would block, completing
@@ -538,95 +455,60 @@ impl Conn {
 
 #[cfg(test)]
 mod tests {
-    //! Socket-free tests of the shard handoff protocol — the CI Miri
-    //! targets for the poller's lock/condvar core.
+    //! The doorbell handoff. These tests need a socket pair and
+    //! `poll(2)`, which Miri does not run; the shards' one shared state,
+    //! admission, has its Miri tests in `crate::admission`.
 
     use super::*;
+    use std::net::TcpListener;
 
-    fn shard() -> Arc<Shard> {
-        Arc::new(Shard {
-            inbox: Mutex::new(Inbox {
-                conns: Vec::new(),
-                notified: false,
-            }),
-            bell: Condvar::new(),
-        })
+    fn shard() -> (Shard, UnixStream) {
+        let (bell, doorbell) = UnixStream::pair().expect("socket pair");
+        bell.set_nonblocking(true).expect("nonblocking bell");
+        doorbell
+            .set_nonblocking(true)
+            .expect("nonblocking doorbell");
+        let shard = Shard {
+            inbox: Mutex::new(Vec::new()),
+            bell,
+        };
+        (shard, doorbell)
     }
 
-    /// The shard loop's adopt step: take newcomers and the bell state in
-    /// one lock, clearing both (mirrors `run_shard`).
-    fn adopt(shard: &Shard) -> (Vec<TcpStream>, bool) {
-        let mut inbox = shard.lock();
-        let notified = inbox.notified;
-        inbox.notified = false;
-        (std::mem::take(&mut inbox.conns), notified)
-    }
-
-    #[test]
-    fn wake_sets_the_flag_and_adopt_clears_it() {
-        let shard = shard();
-        assert!(!adopt(&shard).1, "fresh shard is quiet");
-        shard.wake();
-        assert!(adopt(&shard).1, "wake must be visible to adopt");
-        assert!(!adopt(&shard).1, "adopt consumes the wake");
+    fn rung(doorbell: &UnixStream, timeout: Duration) -> bool {
+        readiness::wait_ready(&mut [PollFd::new(doorbell, true, false)], timeout) == 1
     }
 
     #[test]
-    fn wake_landing_mid_sweep_prevents_the_sleep() {
-        // A wake that arrives after adopt cleared the flag but before the
-        // shard re-checks it at the sleep site must keep the shard awake:
-        // the sleep guard re-reads `notified` under the same lock.
-        let shard = shard();
-        let (_, notified) = adopt(&shard);
-        assert!(!notified);
-        shard.wake();
-        let inbox = shard.lock();
-        assert!(
-            inbox.notified || !inbox.conns.is_empty(),
-            "sleep guard must see the mid-sweep wake"
-        );
+    fn rings_coalesce_and_silence_empties_the_doorbell() {
+        let (shard, doorbell) = shard();
+        assert!(!rung(&doorbell, Duration::from_millis(1)));
+        // Far more rings than the doorbell holds: the excess is dropped
+        // and no ring blocks.
+        for _ in 0..10_000 {
+            shard.ring();
+        }
+        assert!(rung(&doorbell, Duration::from_secs(10)));
+        silence(&doorbell);
+        assert!(!rung(&doorbell, Duration::from_millis(1)));
     }
 
     #[test]
-    fn concurrent_wakes_are_coalesced_but_never_lost() {
-        let shard = shard();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let shard = Arc::clone(&shard);
-                s.spawn(move || {
-                    for _ in 0..25 {
-                        shard.wake();
-                    }
-                });
-            }
-        });
-        // 100 wakes may fold into one flag, but at least one must survive.
-        assert!(adopt(&shard).1);
-        assert!(!adopt(&shard).1);
-    }
-
-    #[test]
-    fn sleeping_shard_is_woken_by_the_bell() {
-        let shard = shard();
-        let sleeper = Arc::clone(&shard);
-        let handle = std::thread::spawn(move || {
-            // The shard loop's idle path: sleep only while quiet, bounded
-            // by the backoff timeout so a missed bell cannot hang the test.
-            loop {
-                let inbox = sleeper.lock();
-                if inbox.notified {
-                    return true;
-                }
-                let (inbox, _) = sleeper
-                    .bell
-                    .wait_timeout(inbox, Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if inbox.notified {
-                    return true;
-                }
-            }
-        });
-        shard.wake();
-        assert!(handle.join().expect("sleeper panicked"));
+    fn a_handoff_during_a_pass_ends_the_next_wait() {
+        let (shard, doorbell) = shard();
+        // The shard has emptied its doorbell and inbox and is mid-pass
+        // when the accept loop hands it a connection.
+        silence(&doorbell);
+        assert!(shard.inbox().is_empty());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        shard.hand(stream);
+        // The wait that ends the pass returns at once, and the next pass
+        // takes the connection.
+        let start = Instant::now();
+        assert!(rung(&doorbell, Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        silence(&doorbell);
+        assert_eq!(std::mem::take(&mut *shard.inbox()).len(), 1);
     }
 }

@@ -37,7 +37,7 @@
 //!
 //! [`Request::bind_scenarios`] then binds the list to the model: each
 //! distinct name is resolved once and the result is a
-//! [`CompiledScenarios`] the batcher and lane kernel read directly. Model
+//! [`CompiledScenarios`] the lane kernel reads directly. Model
 //! errors (unknown classes, bad factors) are stored in it, not returned,
 //! so they still surface at evaluation. [`Request::take_scenarios`] keeps
 //! returning `Vec<Scenario>` for clients and tests. [`parse_request`] and

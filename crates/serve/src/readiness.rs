@@ -1,14 +1,14 @@
 //! Readiness waits over nonblocking sockets: a one-call binding of
 //! `poll(2)`.
 //!
-//! The fleet router and the [`loadgen`](crate::loadgen) driver sweep
-//! their nonblocking sockets for as long as sweeps move bytes. When a
-//! sweep moves none, they block in [`wait_ready`] until one of their
-//! sockets is ready or a timeout passes, instead of sleeping a fixed
-//! interval: a reply that lands during the wait is handled at once
-//! rather than after the nap. The server's accept loop waits on its
-//! listener the same way, so a fresh connection is accepted as soon as
-//! it arrives.
+//! The fleet router, the server's poller shards and the
+//! [`loadgen`](crate::loadgen) driver sweep their nonblocking sockets for
+//! as long as sweeps move bytes. When a sweep moves none, they block in
+//! [`wait_ready`] until one of their sockets is ready or a timeout
+//! passes, instead of sleeping a fixed interval: a request or reply that
+//! lands during the wait is handled at once rather than after the nap.
+//! The server's accept loop waits on its listener the same way, so a
+//! fresh connection is accepted as soon as it arrives.
 //!
 //! `poll` comes from the C library that `std` already links, so the
 //! binding is one `extern "C"` declaration. Its one call is the

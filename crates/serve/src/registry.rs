@@ -9,7 +9,7 @@
 //!
 //! Every artifact's dense [`CompiledModel`](hmdiv_core::CompiledModel)
 //! form is pre-warmed at load, so the first `evaluate` on a fresh model
-//! pays no compile latency inside the batch executor. If the caller
+//! pays no compile latency on the poller that answers it. If the caller
 //! supplies a serialized universe manifest, compatibility is verified at
 //! load and a [`hmdiv_core::ModelError::UniverseMismatch`] is reported
 //! before the model is admitted.

@@ -1,16 +1,20 @@
 //! The TCP server: accept loop, event-driven connection multiplexing, and
-//! verb routing into the registry and the batch executor.
+//! verb routing into the registry and the compiled evaluation kernel.
 //!
 //! Connections are **not** given their own threads. The accept loop
 //! registers each socket with a small fixed [`PollerPool`] of readiness
 //! threads (see [`crate::poller`]); every connection is a state machine
-//! multiplexed over nonblocking reads, in-order request slots, and
-//! buffered backpressured writes. A client that pipelines N requests gets
-//! them framed together and coalesced into dense batch evaluations, and
-//! concurrent clients coalesce with each other through the shared
-//! [`Batcher`] queue — exactly as under the old thread-per-connection
-//! design, with bit-identical replies, but thousands of mostly-idle
-//! keep-alive connections now cost buffer space instead of OS threads.
+//! multiplexed over nonblocking reads and buffered backpressured writes.
+//! The poller that frames a request line answers it on its own thread,
+//! in request order: `answer_line` parses, binds, admits, evaluates and
+//! renders it to completion. Replies are bit-identical to direct
+//! in-process evaluation, and thousands of mostly-idle keep-alive
+//! connections cost buffer space instead of OS threads.
+//!
+//! Every evaluation passes one shared bound first: the summed cost of the
+//! evaluations in progress across all pollers stays within
+//! [`ServerConfig::queue_capacity`], and an expired deadline is shed
+//! before evaluation starts.
 //!
 //! When started with a snapshot directory, the server **warm-starts**: it
 //! restores every artifact persisted by a previous `save`, re-gated
@@ -19,9 +23,9 @@
 //!
 //! Graceful shutdown: the `shutdown` verb (or
 //! [`Server::request_shutdown`]) latches the shutdown signal. The accept
-//! loop stops taking connections, poller shards finish writing every
-//! response they owe and release their sockets, and the executor drains
-//! everything already queued before the server joins.
+//! loop stops taking connections, and the poller shards answer every line
+//! they have already read, finish writing what they owe and release their
+//! sockets before the server joins.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
@@ -33,8 +37,9 @@ use std::time::{Duration, Instant};
 
 use hmdiv_core::extrapolate::Scenario;
 use hmdiv_obs::{FlightRecorder, RequestRecord, Stage, StageSet, TraceId, TraceOutcome};
+use hmdiv_prob::Probability;
 
-use crate::batcher::{Batcher, Outcome, Ticket, Waker, Work};
+use crate::admission::Admission;
 use crate::error::ServeError;
 use crate::json::{self, Json};
 use crate::poller::PollerPool;
@@ -53,12 +58,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Bound on queued admission **cost** in the executor (scalar
-    /// evaluations, not request count); submissions beyond it are
-    /// rejected with the `overloaded` wire error.
+    /// Bound on the summed admission **cost** (scalar evaluations, not
+    /// request count) of the evaluations in progress across all pollers;
+    /// an evaluation that would exceed it is rejected with the
+    /// `overloaded` wire error.
     pub queue_capacity: usize,
-    /// Shard count for dense batch evaluation (results are identical at
-    /// any value).
+    /// Worker threads for one sweep of at least 1,024 scenarios and for
+    /// cohort evaluations; smaller evaluations run on the poller thread
+    /// that framed them. Results are identical at any value.
     pub threads: usize,
     /// Readiness-poller threads multiplexing the connections. A handful
     /// is enough for thousands of keep-alive sockets.
@@ -137,8 +144,8 @@ impl Tracer {
 pub(crate) struct Ctx {
     pub(crate) signal: Arc<ShutdownSignal>,
     pub(crate) registry: Arc<Registry>,
-    pub(crate) batcher: Batcher,
-    pub(crate) threads: usize,
+    admission: Admission,
+    threads: usize,
     pub(crate) max_line_bytes: usize,
     pub(crate) default_deadline_ms: Option<u64>,
     pub(crate) snapshot_dir: Option<PathBuf>,
@@ -179,8 +186,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the poller pool, the accept loop, and the batch
-    /// executor, restores any registry snapshot, and returns immediately.
+    /// Binds, restores any registry snapshot, spawns the poller pool and
+    /// the accept loop, and returns immediately.
     ///
     /// # Errors
     ///
@@ -196,7 +203,6 @@ impl Server {
         if let Some(dir) = &config.snapshot_dir {
             registry.restore_from_dir(dir)?;
         }
-        let batcher = Batcher::start(config.queue_capacity, config.threads)?;
         let tracer = (config.trace_capacity > 0).then(|| Tracer {
             recorder: FlightRecorder::with_capacity(config.trace_capacity),
             dump_path: config.trace_dump.clone(),
@@ -205,7 +211,7 @@ impl Server {
         let ctx = Arc::new(Ctx {
             signal: Arc::clone(&signal),
             registry: Arc::clone(&registry),
-            batcher,
+            admission: Admission::new(config.queue_capacity),
             threads: config.threads,
             max_line_bytes: config.max_line_bytes,
             default_deadline_ms: config.default_deadline_ms,
@@ -287,12 +293,9 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, pool: PollerPool) {
             }
         }
     }
-    // Drain order matters: the pollers first (they finish writing every
-    // response they owe — the executor is still live to answer their
-    // outstanding tickets), then the executor (which flushes whatever is
-    // still queued).
+    // The pollers answer every line they have already read and finish
+    // writing what they owe before they exit.
     pool.stop_and_join();
-    ctx.batcher.drain();
 }
 
 /// A traced request awaiting its final write stamp: records complete
@@ -302,7 +305,7 @@ pub(crate) struct PendingTrace {
     trace_id: TraceId,
     verb: String,
     model: Option<String>,
-    stages: Arc<StageSet>,
+    stages: StageSet,
     outcome: TraceOutcome,
 }
 
@@ -347,25 +350,6 @@ pub(crate) fn dump_on_shed(ctx: &Ctx) {
     }
 }
 
-/// How a queued outcome renders into the verb's result object.
-enum Render {
-    /// `{"failure": p}` from [`Outcome::One`].
-    Failure,
-    /// `{"failures": [p…]}` from [`Outcome::Many`].
-    Failures,
-    /// `{"before", "after", "improvement"}` from a two-element
-    /// [`Outcome::Many`].
-    Extrapolate,
-    /// The [`Outcome::Value`] JSON as-is.
-    Value,
-}
-
-/// A routed request: either answered inline or pending in the executor.
-enum Routed {
-    Ready(Json),
-    Queued { ticket: Ticket, render: Render },
-}
-
 /// Verbs the server understands (unknown verbs share one metrics bucket
 /// to keep counter cardinality bounded).
 const VERBS: [&str; 18] = [
@@ -389,157 +373,146 @@ const VERBS: [&str; 18] = [
     "restore",
 ];
 
-/// One parsed request waiting for its response to render.
-pub(crate) struct RequestSlot {
-    id: Json,
-    /// The trace id to echo in the response envelope.
-    echo: Option<TraceId>,
-    /// Tracing context when the server records flights.
-    trace: Option<(TraceId, Arc<StageSet>, String, Option<String>)>,
-    routed: Result<Routed, ServeError>,
+/// Sweep length from which one evaluation fans out to the configured
+/// `threads`: spawning worker threads costs tens of microseconds, while a
+/// shorter sweep evaluates in far less than that on the poller thread.
+/// The `_par` entry points are thread-count-invariant, so this is purely
+/// a latency policy — results are bit-identical either way. The
+/// `metrics` verb reports it.
+const PAR_THRESHOLD: usize = 1024;
+
+/// One request being answered, as its evaluation sees it.
+struct Job<'a> {
+    ctx: &'a Ctx,
+    deadline: Option<Instant>,
+    /// The request's stage stamps, with tracing on.
+    trace: Option<&'a StageSet>,
+    /// When the line began parsing: binding counts as parse, so an
+    /// admitted evaluation closes the parse stage at admission.
+    parse_start: Instant,
+    /// Whether an evaluation was admitted; it then stamped its own
+    /// stages.
+    admitted: bool,
 }
 
-impl RequestSlot {
-    /// A slot for a line that never parsed into an envelope (over-limit,
-    /// invalid UTF-8): renders the typed error, no trace, no id echo.
-    pub(crate) fn framing_error(e: ServeError) -> RequestSlot {
-        RequestSlot {
-            id: Json::Null,
-            echo: None,
-            trace: None,
-            routed: Err(e),
+impl Job<'_> {
+    /// Runs one evaluation of `cost` scalar evaluations over `items` (1,
+    /// or a sweep's length) on this thread. It holds its cost against the
+    /// shared admission bound until it returns, is shed if the request's
+    /// deadline has passed, and stamps the queue (admission → start),
+    /// batch (zero-length) and eval stages.
+    fn evaluate(
+        &mut self,
+        cost: usize,
+        items: usize,
+        run: impl FnOnce() -> Result<Json, ServeError>,
+    ) -> Result<Json, ServeError> {
+        let (depth, permit) = self.ctx.admission.admit(cost);
+        if let Some(set) = self.trace {
+            set.set_queue_depth(depth as u64);
         }
-    }
-
-    /// The executor ticket when this slot is still waiting on queued
-    /// work; `None` once resolvable inline.
-    pub(crate) fn pending_ticket(&self) -> Option<&Ticket> {
-        match &self.routed {
-            Ok(Routed::Queued { ticket, .. }) => Some(ticket),
-            _ => None,
+        let _permit = permit?;
+        let admitted = Instant::now();
+        self.admitted = true;
+        if let Some(set) = self.trace {
+            set.stamp(Stage::Parse, self.parse_start, admitted);
         }
+        if self.deadline.is_some_and(|d| admitted >= d) {
+            hmdiv_obs::counter_add("serve.deadline_exceeded", 1);
+            if let Some(set) = self.trace {
+                set.stamp_since(Stage::Queue, admitted);
+            }
+            return Err(ServeError::DeadlineExceeded);
+        }
+        hmdiv_obs::counter_add("serve.batch.flushes", 1);
+        #[allow(clippy::cast_precision_loss)]
+        hmdiv_obs::gauge_set("serve.queue_depth", (depth + 1) as f64);
+        hmdiv_obs::observe_count("serve.batch_size", items as u64);
+        let start = Instant::now();
+        let result = run();
+        if let Some(set) = self.trace {
+            set.stamp(Stage::Queue, admitted, start);
+            set.stamp(Stage::Batch, start, start);
+            set.stamp_since(Stage::Eval, start);
+            set.set_batch_size(items as u64);
+        }
+        hmdiv_obs::observe_since("serve.request", admitted);
+        result
     }
 }
 
-/// Parses and routes one request line into a slot, stamping read/parse
-/// stages exactly as the threaded server did: `received` is the batch's
-/// framing instant, `read_start` the first socket bytes that contributed
-/// to it.
-pub(crate) fn route_line(
+/// Parses, routes and answers one request line. Returns the reply line
+/// and, with tracing on, its pending trace record, write-stamped later
+/// when its bytes reach the socket. `received` is when the line was
+/// framed, `read_start` when the first socket bytes that contributed to
+/// it arrived.
+pub(crate) fn answer_line(
     line: &str,
     received: Instant,
     read_start: Option<Instant>,
     ctx: &Ctx,
-    waker: Option<Waker>,
-) -> RequestSlot {
+) -> (String, Option<PendingTrace>) {
     let parse_start = Instant::now();
-    match protocol::decode_request(line) {
-        Ok(mut request) => {
-            let parse_end = Instant::now();
-            let env = &request.envelope;
-            if VERBS.contains(&env.verb.as_str()) {
-                hmdiv_obs::counter_add(&format!("serve.verb.{}", env.verb), 1);
-            } else {
-                hmdiv_obs::counter_add("serve.verb.unknown", 1);
-            }
-            let id = env.id.clone();
-            // With tracing on, every request gets a stage set and an
-            // id (client-supplied or minted); with it off, a client
-            // trace id is still echoed for correlation.
-            let trace = ctx.tracer.as_ref().map(|_| {
-                let tid = env.trace_id.unwrap_or_else(TraceId::mint);
-                let set = Arc::new(StageSet::new(received));
-                if let Some(rs) = read_start {
-                    set.stamp(Stage::Read, rs, received);
-                }
-                set.stamp(Stage::Parse, parse_start, parse_end);
-                let model = env
-                    .body
-                    .get("model")
-                    .or_else(|| env.body.get("cohort"))
-                    .and_then(Json::as_str)
-                    .map(str::to_owned);
-                (tid, set, env.verb.clone(), model)
-            });
-            let echo = trace.as_ref().map(|(tid, ..)| *tid).or(env.trace_id);
-            let stage_set = trace.as_ref().map(|(_, set, ..)| Arc::clone(set));
-            let routed = route(&mut request, received, ctx, stage_set.clone(), waker);
-            if let Some(set) = &stage_set {
-                // Queued verbs spend `route` binding and submitting —
-                // count that as parse; inline verbs do their whole
-                // evaluation inside `route` — count that as eval.
-                match &routed {
-                    Ok(Routed::Queued { .. }) => {
-                        set.stamp(Stage::Parse, parse_start, Instant::now());
-                    }
-                    _ => set.stamp_since(Stage::Eval, parse_end),
-                }
-            }
-            RequestSlot {
-                id,
-                echo,
-                trace,
-                routed,
-            }
-        }
+    let mut request = match protocol::decode_request(line) {
+        Ok(request) => request,
         Err(e) => {
             // Best effort: echo the id even when the envelope is bad.
             let id = json::parse(line)
                 .ok()
                 .and_then(|j| j.get("id").cloned())
                 .unwrap_or(Json::Null);
-            RequestSlot {
-                id,
-                echo: None,
-                trace: None,
-                routed: Err(e),
-            }
-        }
-    }
-}
-
-/// Renders a resolved slot into its wire line, stamping the serialize
-/// stage and producing the pending trace record (write-stamped later,
-/// when its bytes reach the socket). `reply` carries the executor's
-/// answer for queued slots; inline and error slots pass `None`.
-pub(crate) fn finish_slot(
-    slot: RequestSlot,
-    reply: Option<Result<Outcome, ServeError>>,
-) -> (String, Option<PendingTrace>) {
-    let (ser_start, line, outcome) = match slot.routed {
-        Ok(Routed::Ready(result)) => {
-            let s = Instant::now();
-            (
-                s,
-                protocol::ok_line(&slot.id, slot.echo, result),
-                TraceOutcome::Ok,
-            )
-        }
-        Ok(Routed::Queued { ticket, render }) => {
-            // The poller hands over the reply it already took; fall back
-            // to a blocking wait for any caller that did not.
-            let reply = reply.unwrap_or_else(|| ticket.wait());
-            let s = Instant::now();
-            match reply.and_then(|o| render_outcome(&render, o)) {
-                Ok(result) => (
-                    s,
-                    protocol::ok_line(&slot.id, slot.echo, result),
-                    TraceOutcome::Ok,
-                ),
-                Err(e) => {
-                    let outcome = e.trace_outcome();
-                    (s, protocol::err_line(&slot.id, slot.echo, &e), outcome)
-                }
-            }
-        }
-        Err(e) => {
-            hmdiv_obs::counter_add("serve.errors", 1);
-            let s = Instant::now();
-            let outcome = e.trace_outcome();
-            (s, protocol::err_line(&slot.id, slot.echo, &e), outcome)
+            return (error_line(&id, None, &e), None);
         }
     };
-    let pending = slot.trace.map(|(trace_id, stages, verb, model)| {
+    let parse_end = Instant::now();
+    let env = &request.envelope;
+    if VERBS.contains(&env.verb.as_str()) {
+        hmdiv_obs::counter_add(&format!("serve.verb.{}", env.verb), 1);
+    } else {
+        hmdiv_obs::counter_add("serve.verb.unknown", 1);
+    }
+    let id = env.id.clone();
+    // With tracing on, every request gets a stage set and an id
+    // (client-supplied or minted); with it off, a client trace id is
+    // still echoed for correlation.
+    let trace = ctx.tracer.as_ref().map(|_| {
+        let tid = env.trace_id.unwrap_or_else(TraceId::mint);
+        let set = StageSet::new(received);
+        if let Some(rs) = read_start {
+            set.stamp(Stage::Read, rs, received);
+        }
+        set.stamp(Stage::Parse, parse_start, parse_end);
+        let model = env
+            .body
+            .get("model")
+            .or_else(|| env.body.get("cohort"))
+            .and_then(Json::as_str)
+            .map(str::to_owned);
+        (tid, set, env.verb.clone(), model)
+    });
+    let echo = trace.as_ref().map(|(tid, ..)| *tid).or(env.trace_id);
+    let mut job = Job {
+        ctx,
+        deadline: env
+            .deadline_ms
+            .or(ctx.default_deadline_ms)
+            .map(|ms| received + Duration::from_millis(ms)),
+        trace: trace.as_ref().map(|(_, set, ..)| set),
+        parse_start,
+        admitted: false,
+    };
+    let result = route(&mut request, &mut job);
+    if let Some(set) = job.trace.filter(|_| !job.admitted) {
+        // Inline verbs, and evaluations refused before admission, do all
+        // their work inside `route`: count it as eval.
+        set.stamp_since(Stage::Eval, parse_end);
+    }
+    let ser_start = Instant::now();
+    let (line, outcome) = match result {
+        Ok(result) => (protocol::ok_line(&id, echo, result), TraceOutcome::Ok),
+        Err(e) => (error_line(&id, echo, &e), e.trace_outcome()),
+    };
+    let pending = trace.map(|(trace_id, stages, verb, model)| {
         stages.stamp_since(Stage::Serialize, ser_start);
         PendingTrace {
             trace_id,
@@ -552,29 +525,15 @@ pub(crate) fn finish_slot(
     (line, pending)
 }
 
-fn render_outcome(render: &Render, outcome: Outcome) -> Result<Json, ServeError> {
-    match (render, outcome) {
-        (Render::Failure, Outcome::One(p)) => Ok(Json::Obj(vec![(
-            "failure".to_owned(),
-            Json::Num(p.value()),
-        )])),
-        (Render::Failures, Outcome::Many(failures)) => Ok(Json::Obj(vec![(
-            "failures".to_owned(),
-            Json::Arr(failures.iter().map(|p| Json::Num(p.value())).collect()),
-        )])),
-        (Render::Extrapolate, Outcome::Many(pair)) if pair.len() == 2 => {
-            let (before, after) = (pair[0].value(), pair[1].value());
-            Ok(Json::Obj(vec![
-                ("before".to_owned(), Json::Num(before)),
-                ("after".to_owned(), Json::Num(after)),
-                ("improvement".to_owned(), Json::Num(before - after)),
-            ]))
-        }
-        (Render::Value, Outcome::Value(v)) => Ok(v),
-        _ => Err(ServeError::Io {
-            detail: "executor returned a mismatched outcome shape".to_owned(),
-        }),
-    }
+/// Renders an error reply line and counts it in `serve.errors`.
+pub(crate) fn error_line(id: &Json, echo: Option<TraceId>, e: &ServeError) -> String {
+    hmdiv_obs::counter_add("serve.errors", 1);
+    protocol::err_line(id, echo, e)
+}
+
+/// `{"failure": p}`, the `evaluate` verb's result.
+fn failure_json(p: Probability) -> Json {
+    Json::Obj(vec![("failure".to_owned(), Json::Num(p.value()))])
 }
 
 /// Renders an analyzer report as the `analyze` verb's result object.
@@ -751,28 +710,16 @@ fn snapshot_result_json(dir: &Path, action: &str, ids: &[String]) -> Json {
     ])
 }
 
-fn route(
-    request: &mut Request,
-    received: Instant,
-    ctx: &Ctx,
-    trace: Option<Arc<StageSet>>,
-    waker: Option<Waker>,
-) -> Result<Routed, ServeError> {
+fn route(request: &mut Request, job: &mut Job<'_>) -> Result<Json, ServeError> {
+    let ctx = job.ctx;
     let env = &request.envelope;
-    let deadline = env
-        .deadline_ms
-        .or(ctx.default_deadline_ms)
-        .map(|ms| received + Duration::from_millis(ms));
     let body = &env.body;
     match env.verb.as_str() {
-        "ping" => Ok(Routed::Ready(Json::Obj(vec![(
-            "pong".to_owned(),
-            Json::Bool(true),
-        )]))),
+        "ping" => Ok(Json::Obj(vec![("pong".to_owned(), Json::Bool(true))])),
         "metrics" => {
             let snapshot = hmdiv_obs::snapshot();
             #[allow(clippy::cast_precision_loss)]
-            let par_threshold = crate::batcher::PAR_THRESHOLD as f64;
+            let par_threshold = PAR_THRESHOLD as f64;
             // Histogram summaries (count, sum, and interpolated
             // percentiles) for every registered histogram, `serve.*`
             // stage latencies included, in deterministic name order.
@@ -794,15 +741,16 @@ fn route(
                     )
                 })
                 .collect();
+            let (in_progress, in_progress_cost) = ctx.admission.in_progress();
             #[allow(clippy::cast_precision_loss)]
-            let queue_depth = ctx.batcher.queue_len() as f64;
+            let queue_depth = in_progress as f64;
             #[allow(clippy::cast_precision_loss)]
-            let queue_cost = ctx.batcher.queue_cost() as f64;
+            let queue_cost = in_progress_cost as f64;
             #[allow(clippy::cast_precision_loss)]
             let connections = ctx.live_connections.load(Ordering::Relaxed) as f64;
             #[allow(clippy::cast_precision_loss)]
             let pollers = ctx.poller_threads as f64;
-            Ok(Routed::Ready(Json::Obj(vec![
+            Ok(Json::Obj(vec![
                 (
                     "prometheus".to_owned(),
                     Json::str(hmdiv_obs::export::to_prometheus(&snapshot)),
@@ -813,12 +761,12 @@ fn route(
                 ("queue_cost".to_owned(), Json::Num(queue_cost)),
                 ("connections".to_owned(), Json::Num(connections)),
                 ("pollers".to_owned(), Json::Num(pollers)),
-            ])))
+            ]))
         }
         "trace" => {
             let tracer = ctx.tracer.as_ref().ok_or(ServeError::TraceDisabled)?;
             let records = tracer.recorder.drain();
-            Ok(Routed::Ready(trace_report_json(&records, &tracer.recorder)))
+            Ok(trace_report_json(&records, &tracer.recorder))
         }
         "models" => {
             let rows = ctx
@@ -837,10 +785,7 @@ fn route(
                     ])
                 })
                 .collect();
-            Ok(Routed::Ready(Json::Obj(vec![(
-                "models".to_owned(),
-                Json::Arr(rows),
-            )])))
+            Ok(Json::Obj(vec![("models".to_owned(), Json::Arr(rows))]))
         }
         "manifest" => {
             // The fleet sync inventory: content ids + kinds only, in
@@ -859,34 +804,31 @@ fn route(
                 .collect();
             #[allow(clippy::cast_precision_loss)]
             let count = rows.len() as f64;
-            Ok(Routed::Ready(Json::Obj(vec![
+            Ok(Json::Obj(vec![
                 ("artifacts".to_owned(), Json::Arr(rows)),
                 ("count".to_owned(), Json::Num(count)),
-            ])))
+            ]))
         }
         "fetch" => {
             // The sync transfer format: the load-verb wire shape plus the
             // content id, so the receiving side can replay it through its
             // own load path and verify the recomputed id.
             let id = protocol::required_str(body, "model")?;
-            Ok(Routed::Ready(ctx.registry.export_wire(id)?))
+            ctx.registry.export_wire(id)
         }
         "shutdown" => {
             ctx.signal.request();
-            Ok(Routed::Ready(Json::Obj(vec![(
-                "draining".to_owned(),
-                Json::Bool(true),
-            )])))
+            Ok(Json::Obj(vec![("draining".to_owned(), Json::Bool(true))]))
         }
         "save" => {
             let dir = snapshot_dir_for(body, ctx, "save")?;
             let ids = ctx.registry.save_to_dir(&dir)?;
-            Ok(Routed::Ready(snapshot_result_json(&dir, "saved", &ids)))
+            Ok(snapshot_result_json(&dir, "saved", &ids))
         }
         "restore" => {
             let dir = snapshot_dir_for(body, ctx, "restore")?;
             let ids = ctx.registry.restore_from_dir(&dir)?;
-            Ok(Routed::Ready(snapshot_result_json(&dir, "restored", &ids)))
+            Ok(snapshot_result_json(&dir, "restored", &ids))
         }
         "load" => {
             let manifest = protocol::parse_manifest(body)?;
@@ -907,24 +849,24 @@ fn route(
                     })
                 }
             };
-            Ok(Routed::Ready(receipt_json(&receipt)))
+            Ok(receipt_json(&receipt))
         }
         "load_cohort" => {
             let manifest = protocol::parse_manifest(body)?;
             let members = protocol::parse_cohort_members(body)?;
             let receipt = ctx.registry.load_cohort(members, manifest.as_ref())?;
-            Ok(Routed::Ready(receipt_json(&receipt)))
+            Ok(receipt_json(&receipt))
         }
         "analyze" => {
             // Loaded artifacts passed admission, so this reports the
             // warnings and notes the gate let through. Pure and fast, so
-            // answered inline rather than queued.
+            // answered without admission.
             let artifact = ctx.registry.get(protocol::required_str(body, "model")?)?;
-            Ok(Routed::Ready(report_json(&artifact.analyze())))
+            Ok(report_json(&artifact.analyze()))
         }
         "compare" => {
             // Differential comparison of two loaded artifacts. Pure and
-            // fast like `analyze`, so answered inline; error-severity
+            // fast like `analyze`, so answered without admission; error-severity
             // findings (universe mismatch, domain faults) reject with
             // their stable HM code, mirroring load admission.
             let baseline = sequential_artifact(ctx, protocol::required_str(body, "baseline")?)?;
@@ -946,46 +888,22 @@ fn route(
                     detail: d.message.clone(),
                 });
             }
-            Ok(Routed::Ready(comparison_json(&cmp)))
+            Ok(comparison_json(&cmp))
         }
         "evaluate" => {
             let artifact = ctx.registry.get(protocol::required_str(body, "model")?)?;
             let profile = protocol::parse_profile(body)?;
             match artifact {
                 Artifact::Sequential(model) => {
-                    let compiled = Arc::clone(model.compiled());
+                    let compiled = model.compiled();
                     let bound = compiled.bind_profile(&profile).map_err(ServeError::Model)?;
-                    let ticket = ctx.batcher.submit(
-                        Work::Profile {
-                            model: compiled,
-                            profile: bound,
-                        },
-                        1,
-                        deadline,
-                        trace.clone(),
-                        waker,
-                    )?;
-                    Ok(Routed::Queued {
-                        ticket,
-                        render: Render::Failure,
-                    })
+                    job.evaluate(1, 1, || Ok(failure_json(compiled.system_failure(&bound))))
                 }
                 Artifact::Detection(model) => {
-                    let compiled = Arc::clone(model.compiled());
-                    let ticket = ctx.batcher.submit(
-                        Work::Direct(Box::new(move || {
-                            let bound =
-                                compiled.bind_profile(&profile).map_err(ServeError::Model)?;
-                            Ok(Outcome::One(compiled.system_failure(&bound)))
-                        })),
-                        1,
-                        deadline,
-                        trace.clone(),
-                        waker,
-                    )?;
-                    Ok(Routed::Queued {
-                        ticket,
-                        render: Render::Failure,
+                    let compiled = model.compiled();
+                    job.evaluate(1, 1, || {
+                        let bound = compiled.bind_profile(&profile).map_err(ServeError::Model)?;
+                        Ok(failure_json(compiled.system_failure(&bound)))
                     })
                 }
                 Artifact::Cohort(_) => Err(ServeError::BadRequest {
@@ -996,43 +914,33 @@ fn route(
         "scenarios" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
             let scenarios = request.bind_scenarios(&compiled)?;
-            // Admission cost: one scalar evaluation per scenario, so a
-            // bulk batch cannot monopolize a flush window for free.
-            let cost = scenarios.len();
-            let ticket = ctx.batcher.submit(
-                Work::Scenarios {
-                    model: compiled,
-                    profile: bound,
-                    scenarios,
-                },
-                cost,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Failures,
+            // Admission cost: one scalar evaluation per scenario.
+            let n = scenarios.len();
+            let threads = if n < PAR_THRESHOLD { 1 } else { ctx.threads };
+            job.evaluate(n, n, || {
+                let failures = compiled
+                    .evaluate_bound_scenarios(&scenarios, &bound, threads)
+                    .map_err(ServeError::Model)?;
+                Ok(Json::Obj(vec![(
+                    "failures".to_owned(),
+                    Json::Arr(failures.iter().map(|p| Json::Num(p.value())).collect()),
+                )]))
             })
         }
         "extrapolate" => {
             let (compiled, bound) = sequential_binding(body, ctx)?;
             let scenario = protocol::parse_scenario(protocol::required(body, "scenario")?)?;
             let scenarios = compiled.bind_scenarios(&[Scenario::new(), scenario]);
-            let ticket = ctx.batcher.submit(
-                Work::Scenarios {
-                    model: compiled,
-                    profile: bound,
-                    scenarios,
-                },
-                2,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Extrapolate,
+            job.evaluate(2, 2, || {
+                let pair = compiled
+                    .evaluate_bound_scenarios(&scenarios, &bound, 1)
+                    .map_err(ServeError::Model)?;
+                let (before, after) = (pair[0].value(), pair[1].value());
+                Ok(Json::Obj(vec![
+                    ("before".to_owned(), Json::Num(before)),
+                    ("after".to_owned(), Json::Num(after)),
+                    ("improvement".to_owned(), Json::Num(before - after)),
+                ]))
             })
         }
         "importance" => {
@@ -1042,41 +950,28 @@ fn route(
                     detail: "`importance` needs a sequential model".to_owned(),
                 });
             };
-            let ticket = ctx.batcher.submit(
-                Work::Direct(Box::new(move || {
-                    let lines = hmdiv_core::importance::machine_response_lines(&model)
-                        .into_iter()
-                        .map(|line| {
-                            Json::Obj(vec![
-                                ("class".to_owned(), Json::str(line.class().name())),
-                                (
-                                    "lower_bound".to_owned(),
-                                    Json::Num(line.lower_bound().value()),
-                                ),
-                                (
-                                    "coherence_index".to_owned(),
-                                    Json::Num(line.coherence_index()),
-                                ),
-                                (
-                                    "current_p_mf".to_owned(),
-                                    Json::Num(line.current_p_mf().value()),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    Ok(Outcome::Value(Json::Obj(vec![(
-                        "lines".to_owned(),
-                        Json::Arr(lines),
-                    )])))
-                })),
-                1,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Value,
+            job.evaluate(1, 1, || {
+                let lines = hmdiv_core::importance::machine_response_lines(&model)
+                    .into_iter()
+                    .map(|line| {
+                        Json::Obj(vec![
+                            ("class".to_owned(), Json::str(line.class().name())),
+                            (
+                                "lower_bound".to_owned(),
+                                Json::Num(line.lower_bound().value()),
+                            ),
+                            (
+                                "coherence_index".to_owned(),
+                                Json::Num(line.coherence_index()),
+                            ),
+                            (
+                                "current_p_mf".to_owned(),
+                                Json::Num(line.current_p_mf().value()),
+                            ),
+                        ])
+                    })
+                    .collect();
+                Ok(Json::Obj(vec![("lines".to_owned(), Json::Arr(lines))]))
             })
         }
         "cohort" => {
@@ -1087,42 +982,30 @@ fn route(
                 });
             };
             let profile = protocol::parse_profile(body)?;
-            let threads = ctx.threads;
             // Admission cost: one member-model evaluation per reader in
             // the cohort.
-            let cost = cohort.members().len();
-            let ticket = ctx.batcher.submit(
-                Work::Direct(Box::new(move || {
-                    let summary = cohort
-                        .evaluate_par(&profile, threads)
-                        .map_err(ServeError::Model)?;
-                    let rows = summary
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            Json::Obj(vec![
-                                ("name".to_owned(), Json::str(row.name.as_str())),
-                                ("share".to_owned(), Json::Num(row.share)),
-                                ("failure".to_owned(), Json::Num(row.failure.value())),
-                            ])
-                        })
-                        .collect();
-                    Ok(Outcome::Value(Json::Obj(vec![
-                        ("mean".to_owned(), Json::Num(summary.mean.value())),
-                        ("best".to_owned(), Json::Num(summary.best.value())),
-                        ("worst".to_owned(), Json::Num(summary.worst.value())),
-                        ("spread".to_owned(), Json::Num(summary.spread())),
-                        ("rows".to_owned(), Json::Arr(rows)),
-                    ])))
-                })),
-                cost,
-                deadline,
-                trace.clone(),
-                waker,
-            )?;
-            Ok(Routed::Queued {
-                ticket,
-                render: Render::Value,
+            job.evaluate(cohort.members().len(), 1, || {
+                let summary = cohort
+                    .evaluate_par(&profile, ctx.threads)
+                    .map_err(ServeError::Model)?;
+                let rows = summary
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        Json::Obj(vec![
+                            ("name".to_owned(), Json::str(row.name.as_str())),
+                            ("share".to_owned(), Json::Num(row.share)),
+                            ("failure".to_owned(), Json::Num(row.failure.value())),
+                        ])
+                    })
+                    .collect();
+                Ok(Json::Obj(vec![
+                    ("mean".to_owned(), Json::Num(summary.mean.value())),
+                    ("best".to_owned(), Json::Num(summary.best.value())),
+                    ("worst".to_owned(), Json::Num(summary.worst.value())),
+                    ("spread".to_owned(), Json::Num(summary.spread())),
+                    ("rows".to_owned(), Json::Arr(rows)),
+                ]))
             })
         }
         other => Err(ServeError::UnknownVerb {

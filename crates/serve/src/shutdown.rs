@@ -5,9 +5,9 @@ use std::time::Duration;
 
 /// A one-way "please stop" latch: once requested it stays requested.
 ///
-/// The accept loop polls it, connection threads check it between
-/// requests, and [`request`](ShutdownSignal::request) wakes anything
-/// blocked in [`wait`](ShutdownSignal::wait).
+/// The accept loop and the poller shards check it on every pass, and
+/// [`request`](ShutdownSignal::request) wakes anything blocked in
+/// [`wait_timeout`](ShutdownSignal::wait_timeout).
 #[derive(Debug, Default)]
 pub struct ShutdownSignal {
     requested: Mutex<bool>,

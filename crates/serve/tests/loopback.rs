@@ -223,13 +223,13 @@ fn golden_fixtures_for_every_verb() {
     assert_eq!(rows.len(), 2);
 
     // metrics: Prometheus text with serve counters present, plus the
-    // batcher's effective parallelism threshold (env-overridable).
+    // sweep length from which one evaluation runs in parallel.
     let metrics = client.request("metrics", vec![]).unwrap();
     let text = metrics.get("prometheus").and_then(Json::as_str).unwrap();
     assert!(text.contains("serve_verb_evaluate"), "got: {text}");
     assert!(text.contains("serve_batch_flushes"), "got: {text}");
-    // The satellite batcher metrics, sampled at flush time, and the
-    // percentile gauges derived from each histogram.
+    // The per-evaluation metrics, sampled as each evaluation starts, and
+    // the percentile gauges derived from each histogram.
     assert!(text.contains("hmdiv_serve_queue_depth"), "got: {text}");
     assert!(
         text.contains("hmdiv_serve_batch_size_bucket"),
@@ -273,9 +273,9 @@ fn golden_fixtures_for_every_verb() {
         .expect("serve.batch_size");
     assert_eq!(batch.get("unit").and_then(Json::as_str), Some("count"));
     assert!(batch.get("count").and_then(Json::as_f64).unwrap() > 0.0);
-    // The live executor queue depth rides along (drained by now), with
-    // its cost-denominated twin, plus the poller pool's live view: one
-    // open connection (ours) multiplexed over the default pool.
+    // The evaluations in progress ride along (none by now), with their
+    // summed admission cost, plus the poller pool's live view: one open
+    // connection (ours) multiplexed over the default pool.
     assert_eq!(metrics.get("queue_depth").and_then(Json::as_f64), Some(0.0));
     assert_eq!(metrics.get("queue_cost").and_then(Json::as_f64), Some(0.0));
     assert_eq!(metrics.get("connections").and_then(Json::as_f64), Some(1.0));
@@ -894,8 +894,8 @@ fn save_restore_round_trip_preserves_content_ids_across_servers() {
 #[test]
 fn admission_charges_scalar_evaluations_not_request_count() {
     // Capacity is an evaluation-cost budget: a 4-scenario batch (cost 4)
-    // overflows a 3-cost queue even when the queue is empty, while a
-    // 3-scenario batch fits exactly.
+    // overflows a 3-cost bound even with nothing else in progress, while
+    // a 3-scenario batch fits exactly.
     let server = Server::start(ServerConfig {
         queue_capacity: 3,
         ..ServerConfig::default()
@@ -966,7 +966,7 @@ fn zero_capacity_queue_sheds_every_evaluation() {
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    // Inline verbs bypass the executor queue and still work.
+    // Verbs that evaluate nothing bypass admission and still work.
     let model_id = load_paper_model(&mut client);
     let err = client
         .request(
@@ -1030,7 +1030,7 @@ fn loopback_bit_identity_under_concurrent_batched_load() {
                     let model_id = load_paper_model(&mut client);
                     for _round in 0..10 {
                         // Pipeline evaluates and scenario batches together so
-                        // the executor coalesces them across threads.
+                        // the pollers answer them mixed, across threads.
                         let mut requests = Vec::new();
                         for _ in 0..5 {
                             requests.push((

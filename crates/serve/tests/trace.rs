@@ -141,7 +141,7 @@ fn trace_id_round_trips_into_the_flight_recorder() {
     );
     assert_eq!(record.get("outcome").and_then(Json::as_str), Some("ok"));
     assert_eq!(record.get("batch_size").and_then(Json::as_f64), Some(1.0));
-    // A batched evaluate passes through every stage of the pipeline.
+    // An evaluate passes through every stage of the pipeline.
     let stages = record.get("stages").expect("stages object");
     for stage in [
         "read",

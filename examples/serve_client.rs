@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pipelining: send a scenario sweep as many requests at once; the
-    // server's micro-batcher coalesces them into one dense evaluation.
+    // server frames them together and answers them in order.
     let requests: Vec<(String, Vec<(String, Json)>)> = (1..=8)
         .map(|i| {
             (
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    println!("factor sweep (pipelined, micro-batched server-side):");
+    println!("factor sweep (pipelined):");
     for (i, outcome) in client.pipeline(requests)?.into_iter().enumerate() {
         let failures = outcome?;
         let p = failures
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  machine improved {}x everywhere -> {p:.5}", i + 1);
     }
 
-    // The `metrics` verb exposes what the batcher actually did.
+    // The `metrics` verb exposes what the server evaluated.
     let metrics = client.request("metrics", vec![])?;
     let prometheus = metrics
         .get("prometheus")

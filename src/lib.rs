@@ -21,9 +21,9 @@
 //!   validation.
 //! * [`obs`] — zero-dependency metrics and span tracing (off by default;
 //!   enable with `HMDIV_OBS=1` or [`obs::set_enabled`]).
-//! * [`serve`] — a zero-dependency batched evaluation server: JSON-lines
-//!   over TCP, a content-hash-addressed model registry, and a
-//!   micro-batching executor with bit-identical results.
+//! * [`serve`] — a zero-dependency evaluation server: JSON-lines over
+//!   TCP, a content-hash-addressed model registry, and readiness pollers
+//!   that answer each request to completion with bit-identical results.
 //! * [`fleet`] — a replicated sharded serving tier over `serve`:
 //!   content-id registry sync between replicas, a consistent-hash front
 //!   router, and health-checked failover with sync-gated re-admission.
