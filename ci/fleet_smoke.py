@@ -36,6 +36,14 @@ Drives the whole failover story against three externally-started
                    `serve.poll.wakeups` per poller per shard wait timeout
                    (20 ms). A poller shard that spins, say on a readable
                    EOF left in its wait, fails both.
+--slow-consumer  — one client pipelines router-answered `metrics`
+                   requests (ids padded to 16 KiB) and never reads. A
+                   send must stay blocked for 1 s before the client has
+                   sent 48 MiB or spent 30 s, and the router's (ROUTER_PID)
+                   VmRSS may grow by at most 16 MiB meanwhile: the router
+                   stops reading a client whose unflushed replies pass its
+                   write high-watermark. After the client closes, a fresh
+                   connection's `ping` must still be answered.
 
 Usage: fleet_smoke.py            HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --degraded HOST ROUTER_PORT STATE_OUT
@@ -43,12 +51,14 @@ Usage: fleet_smoke.py            HOST ROUTER_PORT STATE_OUT R1 R2 R3
        fleet_smoke.py --shutdown HOST ROUTER_PORT
        fleet_smoke.py --idle-cpu HOST ROUTER_PORT ROUTER_PID
        fleet_smoke.py --idle-replica HOST REPLICA_PORT REPLICA_PID
+       fleet_smoke.py --slow-consumer HOST ROUTER_PORT ROUTER_PID
 
 R1..R3 are the replica ports (for direct manifest comparison).
 """
 
 import json
 import os
+import select
 import socket
 import sys
 import time
@@ -62,6 +72,13 @@ FIELD_FAILURE = 0.18902
 # The timeout of a replica poller shard's readiness wait (`IDLE_WAIT` in
 # crates/serve/src/poller.rs), in seconds.
 SHARD_IDLE_WAIT = 0.020
+# --slow-consumer: the flood's byte and time caps, how long a send must
+# stay blocked to count as backpressure rather than a busy router, and
+# the router's allowed VmRSS growth.
+FLOOD_CAP_BYTES = 48 << 20
+FLOOD_CAP_S = 30.0
+FLOOD_STALL_S = 1.0
+FLOOD_RSS_GROWTH_KB = 16 << 10
 
 
 class Session:
@@ -276,6 +293,46 @@ def idle_replica(host, port, pid):
                * (int(elapsed / SHARD_IDLE_WAIT) + 1))
 
 
+def vm_rss_kb(pid):
+    """Resident set size of process PID, in KiB."""
+    with open(f"/proc/{pid}/status", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise RuntimeError(f"/proc/{pid}/status carries no VmRSS")
+
+
+def slow_consumer(host, port, pid):
+    """A client that pipelines without reading is stopped by the router's
+    backpressure instead of growing the router's memory."""
+    line = (json.dumps({"id": "p" * 16384, "verb": "metrics"}) + "\n").encode()
+    rss_before = vm_rss_kb(pid)
+    flood = socket.create_connection((host, port), timeout=30)
+    flood.setblocking(False)
+    pending, sent, blocked = memoryview(line), 0, False
+    deadline = time.monotonic() + FLOOD_CAP_S
+    while sent < FLOOD_CAP_BYTES and time.monotonic() < deadline:
+        try:
+            n = flood.send(pending)
+        except BlockingIOError:
+            _, writable, _ = select.select([], [flood], [], FLOOD_STALL_S)
+            if not writable:
+                blocked = True
+                break
+            continue
+        sent += n
+        pending = pending[n:] if n < len(pending) else memoryview(line)
+    growth = vm_rss_kb(pid) - rss_before
+    print(f"slow consumer: sent {sent} bytes ({sent // len(line)} lines), "
+          f"blocked={blocked}, router VmRSS grew {growth} KiB "
+          f"(bounds {FLOOD_CAP_BYTES} bytes, {FLOOD_RSS_GROWTH_KB} KiB)")
+    assert blocked, f"{sent} bytes of metrics requests never blocked"
+    assert growth <= FLOOD_RSS_GROWTH_KB, f"router VmRSS grew {growth} KiB"
+    flood.close()
+    assert Session(host, port).request("ping").get("pong") is True
+    print("router answers a fresh ping after the slow consumer leaves")
+
+
 def shutdown(host, port):
     s = Session(host, port)
     assert s.request("shutdown").get("draining") is True
@@ -298,6 +355,8 @@ def main():
         idle_cpu(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     elif sys.argv[1] == "--idle-replica":
         idle_replica(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+    elif sys.argv[1] == "--slow-consumer":
+        slow_consumer(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     else:
         baseline(
             sys.argv[1],

@@ -18,11 +18,14 @@
 //! * **Consistent-hash routing** ([`ring`], [`router`]) — a thin
 //!   nonblocking front [`Router`] spreads client connections across the
 //!   replicas on a vnode hash ring, so membership changes move only
-//!   ~1/N of the keys. Stateless verbs follow the ring; the
-//!   registry-mutating verbs (`load`, `load_cohort`, `save`, `restore`)
-//!   broadcast so replicas stay converged. Request and reply lines are
-//!   forwarded *verbatim* — the fleet preserves the serve core's
-//!   bit-identical evaluation guarantee.
+//!   ~1/N of the keys. Its one event loop drives every connection as a
+//!   [`LineConn`](hmdiv_serve::conn::LineConn), the serve core's
+//!   nonblocking line connection, and applies the replica's
+//!   backpressure to clients that pipeline without reading. Stateless
+//!   verbs follow the ring; the registry-mutating verbs (`load`,
+//!   `load_cohort`, `save`, `restore`) broadcast so replicas stay
+//!   converged. Request and reply lines are forwarded *verbatim* — the
+//!   fleet preserves the serve core's bit-identical evaluation guarantee.
 //!
 //! * **Failover** ([`health`]) — a prober pings each replica on a
 //!   cadence, ejects after consecutive failures, and re-admits only

@@ -2,23 +2,32 @@
 //! set.
 //!
 //! One event-loop thread multiplexes every client connection and every
-//! backend connection as nonblocking state machines with resumable
-//! [`LineReader`] framing — the same technique the serve core's poller
-//! and the loadgen driver use.
+//! backend connection. Each is a [`LineConn`] — the nonblocking,
+//! newline-framed connection that the serve core's poller shards and the
+//! loadgen driver run on — and the loop reads them all through one
+//! scratch buffer it owns.
 //!
 //! The loop sweeps every socket (accept, backend writes and reads,
 //! client reads, routing, client writes) for as long as sweeps move
 //! bytes. When a sweep moves none, it blocks in a `poll(2)` readiness
 //! wait ([`hmdiv_serve::readiness`]) over the listener (left out while
-//! draining), every client (read interest unless half-closed, write
-//! interest while reply bytes are unflushed) and every backend (read
-//! interest, write interest while request bytes are unflushed), so a
-//! reply or request that arrives is forwarded at once. The wait's fixed
-//! [`IDLE_WAIT`] timeout bounds how late the loop notices what no socket
-//! reports: an ejection by the prober thread, or a shutdown requested
-//! from outside. Each pass of the loop counts one
+//! draining), every client ([`LineConn::interest`]: read interest while
+//! the client is read, write interest while reply bytes are unflushed)
+//! and every backend (read interest, write interest while request bytes
+//! are unflushed), so a reply or request that arrives is forwarded at
+//! once. The wait's fixed [`IDLE_WAIT`] timeout bounds how late the loop
+//! notices what no socket reports: an ejection by the prober thread, or
+//! a shutdown requested from outside. Each pass of the loop counts one
 //! `fleet.router.wakeups`, so a loop that spins instead of waiting
 //! shows in the `metrics` verb's exposition.
+//!
+//! Clients get the replica's backpressure ([`LineConn::wants_read`]): a
+//! client is read at most [`READ_BUDGET`] bytes per pass, and not at all
+//! while [`WRITE_HIGH_WATERMARK`](hmdiv_serve::conn::WRITE_HIGH_WATERMARK)
+//! bytes of its replies are unflushed, so a client that pipelines
+//! without reading fills its own TCP window instead of the router's
+//! memory. Backends are read whenever they have bytes: stalling one
+//! would stall every client multiplexed on it.
 //!
 //! Request lines are *forwarded verbatim* (replies too), so the fleet
 //! preserves the serve core's bit-identity guarantee: the router adds
@@ -55,8 +64,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use hmdiv_serve::conn::{LineConn, CHUNK, READ_BUDGET};
 use hmdiv_serve::json::{self, Json};
-use hmdiv_serve::protocol::{err_line, LineEvent, LineReader};
+use hmdiv_serve::protocol::{err_line, LineEvent};
 use hmdiv_serve::readiness::{self, PollFd};
 use hmdiv_serve::shutdown::ShutdownSignal;
 use hmdiv_serve::{Client, ServeError};
@@ -134,27 +144,19 @@ struct BroadcastSlot {
     reply: Option<String>,
 }
 
-/// One client connection's state machine.
+/// One client connection's state machine. At EOF it closes once its
+/// pending replies flush.
 struct ClientConn {
-    stream: TcpStream,
-    reader: LineReader,
-    out: Vec<u8>,
-    cursor: usize,
+    io: LineConn,
     pending: VecDeque<Pending>,
     /// Consistent-hash key: all of this connection's stateless requests
     /// follow it to the same backend while that backend stays healthy.
     ring_key: u64,
-    /// Client sent EOF; close once the pending replies flush.
-    half_closed: bool,
-    dead: bool,
 }
 
 /// One backend connection's state machine.
 struct BackendConn {
-    stream: TcpStream,
-    reader: LineReader,
-    out: Vec<u8>,
-    cursor: usize,
+    io: LineConn,
     /// Tokens for requests written to this backend, in reply order (the
     /// serve core answers each connection strictly in request order).
     inflight: VecDeque<u64>,
@@ -292,6 +294,8 @@ struct EventLoop {
     signal: Arc<ShutdownSignal>,
     clients: Vec<Option<ClientConn>>,
     backends: Vec<Option<BackendConn>>,
+    /// The one buffer every connection is read through.
+    scratch: Vec<u8>,
     next_token: u64,
     /// The last accept failed with something other than `WouldBlock`
     /// (say, out of file descriptors): the listener stays readable, so it
@@ -316,6 +320,7 @@ impl EventLoop {
             signal,
             clients: Vec::new(),
             backends: (0..backend_count).map(|_| None).collect(),
+            scratch: vec![0_u8; CHUNK],
             next_token: 1,
             accept_failed: false,
         }
@@ -353,14 +358,10 @@ impl EventLoop {
             interest.push(PollFd::new(&self.listener, true, false));
         }
         for conn in self.clients.iter().flatten() {
-            let unflushed = conn.cursor < conn.out.len();
-            if !conn.half_closed || unflushed {
-                interest.push(PollFd::new(&conn.stream, !conn.half_closed, unflushed));
-            }
+            interest.extend(conn.io.interest(conn.io.wants_read()));
         }
         for conn in self.backends.iter().flatten() {
-            let unflushed = conn.cursor < conn.out.len();
-            interest.push(PollFd::new(&conn.stream, true, unflushed));
+            interest.extend(conn.io.interest(true));
         }
         readiness::wait_ready(interest, IDLE_WAIT);
     }
@@ -372,9 +373,9 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                    let Ok(io) = LineConn::new(stream, self.config.max_line_bytes) else {
                         continue;
-                    }
+                    };
                     any = true;
                     // Hash the peer address (ip + port) onto the ring so
                     // distinct connections spread across backends while
@@ -388,14 +389,9 @@ impl EventLoop {
                     };
                     key = mix64(key ^ (u64::from(peer.port()) << 48));
                     let conn = ClientConn {
-                        stream,
-                        reader: LineReader::new(self.config.max_line_bytes),
-                        out: Vec::new(),
-                        cursor: 0,
+                        io,
                         pending: VecDeque::new(),
                         ring_key: key,
-                        half_closed: false,
-                        dead: false,
                     };
                     if let Some(slot) = self.clients.iter_mut().find(|s| s.is_none()) {
                         *slot = Some(conn);
@@ -470,79 +466,32 @@ impl EventLoop {
     fn sweep_backends(&mut self) -> bool {
         let mut progressed = false;
         for b in 0..self.backends.len() {
-            let mut failed = false;
+            let Some(conn) = self.backends[b].as_mut() else {
+                continue;
+            };
+            progressed |= conn.io.write() > 0;
+            progressed |= conn.io.read(&mut self.scratch, usize::MAX) > 0;
+            let mut failed = conn.io.eof() || conn.io.dead();
             let mut resolved: Vec<(u64, String)> = Vec::new();
-            if let Some(conn) = self.backends[b].as_mut() {
-                // Writes.
-                while conn.cursor < conn.out.len() {
-                    match conn.stream.write(&conn.out[conn.cursor..]) {
-                        Ok(0) => {
-                            failed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.cursor += n;
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
+            while let Some(event) = conn.io.next_event() {
+                let Some(token) = conn.inflight.pop_front() else {
+                    // A reply with nothing in flight: protocol breach,
+                    // drop the connection.
+                    failed = true;
+                    break;
+                };
+                match event {
+                    LineEvent::Line(mut line) => {
+                        line.push('\n');
+                        resolved.push((token, line));
                     }
-                }
-                if conn.cursor == conn.out.len() && !conn.out.is_empty() {
-                    conn.out.clear();
-                    conn.cursor = 0;
-                }
-                // Reads.
-                if !failed {
-                    let mut chunk = [0_u8; 64 * 1024];
-                    loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                failed = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                progressed = true;
-                                conn.reader.push(&chunk[..n]);
-                                while let Some(event) = conn.reader.next_event() {
-                                    let Some(token) = conn.inflight.pop_front() else {
-                                        // A reply with nothing in
-                                        // flight: protocol breach, drop
-                                        // the connection.
-                                        failed = true;
-                                        break;
-                                    };
-                                    match event {
-                                        LineEvent::Line(mut line) => {
-                                            line.push('\n');
-                                            resolved.push((token, line));
-                                        }
-                                        // An oversized or non-UTF-8
-                                        // reply cannot be forwarded;
-                                        // the request it answered fails
-                                        // with the connection, in order.
-                                        LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => {
-                                            conn.inflight.push_front(token);
-                                            failed = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                                if failed {
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                failed = true;
-                                break;
-                            }
-                        }
+                    // An oversized or non-UTF-8 reply cannot be
+                    // forwarded; the request it answered fails with the
+                    // connection, in order.
+                    LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => {
+                        conn.inflight.push_front(token);
+                        failed = true;
+                        break;
                     }
                 }
             }
@@ -561,55 +510,30 @@ impl EventLoop {
         progressed
     }
 
-    /// Sweeps every client connection: read and route new requests,
-    /// flush ready replies. Returns whether any byte moved.
+    /// Sweeps every client connection: read (within the read budget and
+    /// under the write high-watermark) and route new requests, flush
+    /// ready replies. Returns whether any byte moved.
     fn sweep_clients(&mut self) -> bool {
         let mut progressed = false;
         for c in 0..self.clients.len() {
-            let mut lines: Vec<Result<String, ServeError>> = Vec::new();
-            let mut half_closed = false;
-            let mut dead = false;
-            if let Some(conn) = self.clients[c].as_mut() {
-                if conn.dead {
-                    continue;
-                }
-                if !conn.half_closed {
-                    let mut chunk = [0_u8; 64 * 1024];
-                    loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                half_closed = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                progressed = true;
-                                conn.reader.push(&chunk[..n]);
-                                while let Some(event) = conn.reader.next_event() {
-                                    match event {
-                                        LineEvent::Line(line) => lines.push(Ok(line)),
-                                        LineEvent::TooLong { limit } => {
-                                            lines.push(Err(ServeError::LineTooLong { limit }));
-                                        }
-                                        LineEvent::InvalidUtf8 => {
-                                            lines.push(Err(ServeError::Parse {
-                                                detail: "request line is not valid UTF-8"
-                                                    .to_owned(),
-                                            }));
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            } else {
+            let Some(conn) = self.clients[c].as_mut() else {
                 continue;
+            };
+            if conn.io.dead() {
+                continue;
+            }
+            if conn.io.wants_read() {
+                progressed |= conn.io.read(&mut self.scratch, READ_BUDGET) > 0;
+            }
+            let mut lines: Vec<Result<String, ServeError>> = Vec::new();
+            while let Some(event) = conn.io.next_event() {
+                lines.push(match event {
+                    LineEvent::Line(line) => Ok(line),
+                    LineEvent::TooLong { limit } => Err(ServeError::LineTooLong { limit }),
+                    LineEvent::InvalidUtf8 => Err(ServeError::Parse {
+                        detail: "request line is not valid UTF-8".to_owned(),
+                    }),
+                });
             }
             for line in lines {
                 progressed = true;
@@ -624,12 +548,6 @@ impl EventLoop {
                 }
             }
             if let Some(conn) = self.clients[c].as_mut() {
-                if dead {
-                    conn.dead = true;
-                }
-                if half_closed {
-                    conn.half_closed = true;
-                }
                 progressed |= flush_client(conn);
             }
         }
@@ -734,21 +652,16 @@ impl EventLoop {
         if self.backends[b].is_none() {
             let addr = self.fleet.addr(b);
             let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout).ok()?;
-            stream.set_nodelay(true).ok()?;
-            stream.set_nonblocking(true).ok()?;
             self.backends[b] = Some(BackendConn {
-                stream,
-                reader: LineReader::new(self.config.max_line_bytes),
-                out: Vec::new(),
-                cursor: 0,
+                io: LineConn::new(stream, self.config.max_line_bytes).ok()?,
                 inflight: VecDeque::new(),
             });
         }
         let conn = self.backends[b].as_mut()?;
         let token = self.next_token;
         self.next_token += 1;
-        conn.out.extend_from_slice(line.as_bytes());
-        conn.out.push(b'\n');
+        conn.io.queue(line.as_bytes());
+        conn.io.queue(b"\n");
         conn.inflight.push_back(token);
         Some(token)
     }
@@ -802,10 +715,10 @@ impl EventLoop {
         for slot in &mut self.clients {
             let close = match slot {
                 Some(conn) => {
-                    conn.dead
-                        || ((conn.half_closed || draining)
+                    conn.io.dead()
+                        || ((conn.io.eof() || draining)
                             && conn.pending.is_empty()
-                            && conn.out.is_empty())
+                            && conn.io.unflushed() == 0)
                 }
                 None => false,
             };
@@ -833,35 +746,12 @@ fn flush_client(conn: &mut ClientConn) -> bool {
                 let Some(Pending::Done(line)) = conn.pending.pop_front() else {
                     unreachable!("front was just matched as Done");
                 };
-                conn.out.extend_from_slice(line.as_bytes());
+                conn.io.queue(line.as_bytes());
             }
             _ => break,
         }
     }
-    let mut progressed = false;
-    while conn.cursor < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.cursor..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.cursor += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    if conn.cursor == conn.out.len() && !conn.out.is_empty() {
-        conn.out.clear();
-        conn.cursor = 0;
-    }
-    progressed
+    conn.io.write() > 0
 }
 
 /// The broadcast reply the client sees: the lowest-indexed backend's

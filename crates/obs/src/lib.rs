@@ -7,7 +7,7 @@
 //! * [`registry`] — a thread-safe registry of named metrics: monotonic
 //!   counters, last-value gauges, and fixed-bucket duration histograms, all
 //!   backed by atomics so recording never blocks recording.
-//! * [`span`] — RAII timers over the monotonic clock
+//! * [`mod@span`] — RAII timers over the monotonic clock
 //!   ([`std::time::Instant`]); dropping a [`Span`] records its elapsed time
 //!   into a duration histogram.
 //! * [`sink`] — [`MetricSink`], a plain-data per-worker accumulator designed
@@ -169,7 +169,7 @@ pub fn observe_count(name: &str, value: u64) {
 }
 
 /// Records the elapsed time since `start` into the duration histogram
-/// `name` (no-op while disabled). Complements [`span`] when a timed region
+/// `name` (no-op while disabled). Complements [`span()`] when a timed region
 /// begins and ends in different scopes — e.g. a request admitted in one
 /// function and completed in another — where an RAII guard has no single
 /// owning scope.

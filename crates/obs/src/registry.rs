@@ -8,9 +8,10 @@
 //!   nanoseconds ([`Registry::observe_ns`]) with exponential decade buckets
 //!   from 1 µs to 10 s plus an implicit overflow bucket, and count
 //!   histograms ([`Registry::observe_count`]) with power-of-two buckets
-//!   for sizes (batch sizes, queue depths). Snapshots estimate
-//!   p50/p95/p99 by linear interpolation inside the landing bucket
-//!   ([`HistogramSnapshot::quantile`]).
+//!   for sizes (batch sizes, queue depths). Each also keeps its smallest
+//!   and largest observation. Snapshots estimate p50/p95/p99 by linear
+//!   interpolation inside the landing bucket, clamped into the observed
+//!   range ([`HistogramSnapshot::quantile`]).
 //!
 //! The registration maps are guarded by an [`RwLock`] taken only to *find or
 //! create* a metric cell; the cells themselves are atomics, so concurrent
@@ -81,6 +82,8 @@ struct Histogram {
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
     count: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Histogram {
@@ -92,6 +95,8 @@ impl Histogram {
                 .collect(),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -103,6 +108,8 @@ impl Histogram {
             .unwrap_or(bounds.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -204,6 +211,8 @@ impl Registry {
                             .collect(),
                         sum: h.sum.load(Ordering::Relaxed),
                         count: h.count.load(Ordering::Relaxed),
+                        min: h.min.load(Ordering::Relaxed),
+                        max: h.max.load(Ordering::Relaxed),
                     },
                 )
             })
@@ -280,16 +289,35 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Total number of observations.
     pub count: u64,
+    /// The smallest observation (`u64::MAX` before the first).
+    pub min: u64,
+    /// The largest observation (0 before the first).
+    pub max: u64,
 }
 
 impl HistogramSnapshot {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts
     /// by linear interpolation inside the landing bucket, the standard
     /// fixed-bucket estimator (what Prometheus' `histogram_quantile`
-    /// computes server-side). Observations in the overflow bucket clamp
-    /// to the highest finite bound; an empty histogram yields 0.
+    /// computes server-side), clamped into `[min, max]`: a bucket's edges
+    /// can lie outside the data (nine 1s and one 2 interpolate a median of
+    /// 0.56 from the first bucket's lower edge, 0), and no quantile of the
+    /// data does. The overflow bucket interpolates no further than the
+    /// highest finite bound before the clamp; an empty histogram yields 0.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
+        let estimate = self.interpolate(q);
+        // A snapshot taken while an observation lands may see its count
+        // before its min and max.
+        if self.min <= self.max {
+            #[allow(clippy::cast_precision_loss)]
+            return estimate.clamp(self.min as f64, self.max as f64);
+        }
+        estimate
+    }
+
+    /// The bucket-interpolated estimate behind [`Self::quantile`].
+    fn interpolate(&self, q: f64) -> f64 {
         if self.count == 0 || self.bounds.is_empty() {
             return 0.0;
         }
@@ -405,16 +433,31 @@ mod tests {
     #[test]
     fn quantiles_interpolate_within_the_landing_bucket() {
         let reg = Registry::new();
-        // 100 observations spread evenly in the (1µs, 10µs] bucket.
+        // 2 µs and 9 µs, 50 each, in the (1µs, 10µs] bucket: p50
+        // interpolates to halfway, p75 three quarters of the way.
+        for value in [2_000, 9_000] {
+            for _ in 0..50 {
+                reg.observe_ns("h", value);
+            }
+        }
+        let h = reg.snapshot().histograms["h"].clone();
+        assert_eq!((h.min, h.max), (2_000, 9_000));
+        assert_eq!(h.p50(), 1_000.0 + 0.5 * 9_000.0);
+        assert_eq!(h.quantile(0.75), 1_000.0 + 0.75 * 9_000.0);
+        // The interpolated p99 (9.91 µs) lies above every observation,
+        // so it clamps to the largest.
+        assert_eq!(h.p99(), 9_000.0);
+        // 100 observations of 5 µs: every quantile is 5 µs, where the
+        // bucket alone would read 5.5 µs for p50 and 9.91 µs for p99.
+        let reg = Registry::new();
         for _ in 0..100 {
             reg.observe_ns("h", 5_000);
         }
         let h = reg.snapshot().histograms["h"].clone();
-        // All mass in bucket (1000, 10000]: p50 interpolates to halfway.
-        assert_eq!(h.p50(), 1_000.0 + 0.5 * 9_000.0);
-        assert_eq!(h.p99(), 1_000.0 + 0.99 * 9_000.0);
+        assert_eq!((h.p50(), h.p99()), (5_000.0, 5_000.0));
         // Two-bucket split: 50 fast, 50 slow — p50 is the fast bucket's
-        // upper edge, p95 interpolates 90% into the slow bucket.
+        // upper edge, p60 interpolates 20% into the slow bucket, and p75
+        // (550 µs by the bucket) clamps to the slowest observation.
         let reg = Registry::new();
         for _ in 0..50 {
             reg.observe_ns("h", 500);
@@ -424,14 +467,13 @@ mod tests {
         }
         let h = reg.snapshot().histograms["h"].clone();
         assert_eq!(h.p50(), 1_000.0);
-        assert_eq!(h.quantile(0.75), 100_000.0 + 0.5 * 900_000.0);
-        // Overflow observations clamp to the highest finite bound.
+        assert_eq!(h.quantile(0.6), 100_000.0 + 0.2 * 900_000.0);
+        assert_eq!(h.quantile(0.75), 500_000.0);
+        // Overflow observations have no finite upper edge: the estimate
+        // stops at the highest finite bound, then clamps into the data.
         let reg = Registry::new();
         reg.observe_ns("h", u64::MAX / 2);
-        assert_eq!(
-            reg.snapshot().histograms["h"].p50(),
-            *DURATION_BOUNDS_NS.last().unwrap() as f64
-        );
+        assert_eq!(reg.snapshot().histograms["h"].p50(), (u64::MAX / 2) as f64);
         // Empty histogram: zero, not NaN.
         let empty = HistogramSnapshot {
             unit: HistogramUnit::Nanos,
@@ -439,8 +481,63 @@ mod tests {
             counts: vec![0; DURATION_BOUNDS_NS.len() + 1],
             sum: 0,
             count: 0,
+            min: u64::MAX,
+            max: 0,
         };
         assert_eq!(empty.quantile(0.5), 0.0);
+    }
+
+    #[test]
+    fn a_median_of_ones_is_one() {
+        // Nine 1s and one 2: the (0, 1] bucket alone would interpolate
+        // the median to 5/9 from its lower edge, 0.
+        let reg = Registry::new();
+        for _ in 0..9 {
+            reg.observe_count("batch", 1);
+        }
+        reg.observe_count("batch", 2);
+        assert_eq!(reg.snapshot().histograms["batch"].p50(), 1.0);
+    }
+
+    #[test]
+    fn every_quantile_lies_within_the_observed_range() {
+        // SplitMix64: a seeded stream without a dependency.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..500 {
+            let reg = Registry::new();
+            let observations = 1 + next() % 40;
+            // Values spread over a random number of decades, so cases
+            // land inside one bucket, across several, and in overflow.
+            let scale = 10_u64.pow((next() % 12) as u32);
+            let mut values = Vec::new();
+            for _ in 0..observations {
+                let value = next() % (scale * 20 + 1);
+                values.push(value);
+                if case % 2 == 0 {
+                    reg.observe_ns("h", value);
+                } else {
+                    reg.observe_count("h", value);
+                }
+            }
+            let h = reg.snapshot().histograms["h"].clone();
+            let (lo, hi) = (values.iter().min().unwrap(), values.iter().max().unwrap());
+            assert_eq!((h.min, h.max), (*lo, *hi));
+            for step in 0..=100 {
+                let q = f64::from(step) / 100.0;
+                let estimate = h.quantile(q);
+                assert!(
+                    *lo as f64 <= estimate && estimate <= *hi as f64,
+                    "case {case}: q{q} = {estimate} outside [{lo}, {hi}] of {values:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@ use hmdiv_obs::export::{to_json, to_prometheus};
 use hmdiv_obs::Registry;
 
 /// Builds a registry with one metric of each kind, with values chosen to
-/// land in known histogram buckets.
+/// land in known histogram buckets. Each histogram's p95 and p99
+/// interpolate past its largest observation and clamp to it.
 fn sample_registry() -> Registry {
     let registry = Registry::new();
     registry.counter_add("sim.engine.cases", 450_000);
@@ -42,12 +43,12 @@ fn json_export_matches_golden() {
         "    \"serve.batch_size\": {\"unit\": \"count\", \
          \"bounds\": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192], \
          \"counts\": [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], \
-         \"sum\": 103, \"count\": 2, \"p50\": 4, \"p95\": 121.6, \"p99\": 126.72},\n",
+         \"sum\": 103, \"count\": 2, \"p50\": 4, \"p95\": 100, \"p99\": 100},\n",
         "    \"sim.engine.run\": {\"unit\": \"ns\", \
          \"bounds\": [1000, 10000, 100000, 1000000, \
          10000000, 100000000, 1000000000, 10000000000], \
          \"counts\": [0, 1, 0, 0, 1, 0, 0, 0, 0], \"sum\": 2005000, \"count\": 2, \
-         \"p50\": 10000, \"p95\": 9100000, \"p99\": 9820000}\n",
+         \"p50\": 10000, \"p95\": 2000000, \"p99\": 2000000}\n",
         "  }\n",
         "}\n",
     );
@@ -87,9 +88,9 @@ fn prometheus_export_matches_golden() {
         "# TYPE hmdiv_serve_batch_size_p50 gauge\n",
         "hmdiv_serve_batch_size_p50 4\n",
         "# TYPE hmdiv_serve_batch_size_p95 gauge\n",
-        "hmdiv_serve_batch_size_p95 121.6\n",
+        "hmdiv_serve_batch_size_p95 100\n",
         "# TYPE hmdiv_serve_batch_size_p99 gauge\n",
-        "hmdiv_serve_batch_size_p99 126.72\n",
+        "hmdiv_serve_batch_size_p99 100\n",
         "# TYPE hmdiv_sim_engine_run_seconds histogram\n",
         "hmdiv_sim_engine_run_seconds_bucket{le=\"0.000001\"} 0\n",
         "hmdiv_sim_engine_run_seconds_bucket{le=\"0.00001\"} 1\n",
@@ -105,9 +106,9 @@ fn prometheus_export_matches_golden() {
         "# TYPE hmdiv_sim_engine_run_seconds_p50 gauge\n",
         "hmdiv_sim_engine_run_seconds_p50 0.00001\n",
         "# TYPE hmdiv_sim_engine_run_seconds_p95 gauge\n",
-        "hmdiv_sim_engine_run_seconds_p95 0.0091\n",
+        "hmdiv_sim_engine_run_seconds_p95 0.002\n",
         "# TYPE hmdiv_sim_engine_run_seconds_p99 gauge\n",
-        "hmdiv_sim_engine_run_seconds_p99 0.00982\n",
+        "hmdiv_sim_engine_run_seconds_p99 0.002\n",
     );
     assert_eq!(text, expected);
 }

@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::ServeError;
 use crate::json::{self, Json};
+use crate::protocol::{LineEvent, LineReader};
 
 /// Bounded reconnect-with-backoff policy for [`Client::with_retry`].
 ///
@@ -94,7 +95,8 @@ pub struct Client {
     stream: TcpStream,
     /// The resolved peer address, kept so reconnects hit the same server.
     addr: SocketAddr,
-    buf: Vec<u8>,
+    /// Frames response lines, which have no length limit.
+    reader: LineReader,
     next_id: u64,
     retry: Option<(RetryPolicy, StdRng)>,
 }
@@ -112,7 +114,7 @@ impl Client {
         Ok(Client {
             stream,
             addr,
-            buf: Vec::new(),
+            reader: LineReader::new(usize::MAX),
             next_id: 1,
             retry: None,
         })
@@ -150,7 +152,7 @@ impl Client {
         Ok(Client {
             stream,
             addr,
-            buf: Vec::new(),
+            reader: LineReader::new(usize::MAX),
             next_id: 1,
             retry: Some((policy, rng)),
         })
@@ -241,7 +243,7 @@ impl Client {
                     attempt += 1;
                     // Partial responses from the dead connection are
                     // stale; the replay reads a fresh, complete set.
-                    self.buf.clear();
+                    self.reader = LineReader::new(usize::MAX);
                     if let Some((policy, rng)) = self.retry.as_mut() {
                         std::thread::sleep(policy.delay(attempt, rng));
                     }
@@ -285,14 +287,14 @@ impl Client {
     fn read_line(&mut self) -> Result<String, ExchangeError> {
         let mut chunk = [0_u8; 8 * 1024];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop();
-                return String::from_utf8(line).map_err(|_| {
-                    ExchangeError::Fatal(ServeError::Parse {
+            match self.reader.next_event() {
+                Some(LineEvent::Line(line)) => return Ok(line),
+                Some(LineEvent::InvalidUtf8 | LineEvent::TooLong { .. }) => {
+                    return Err(ExchangeError::Fatal(ServeError::Parse {
                         detail: "response line is not valid UTF-8".to_owned(),
-                    })
-                });
+                    }));
+                }
+                None => {}
             }
             let n = self
                 .stream
@@ -304,7 +306,7 @@ impl Client {
                     "server closed the connection mid-response",
                 )));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.reader.push(&chunk[..n]);
         }
     }
 }

@@ -6,8 +6,9 @@
 //! the workspace into a long-running service without adding a single
 //! external dependency: an event-driven TCP server over [`std::net`]
 //! speaking a JSON-lines protocol — a small fixed pool of readiness
-//! pollers multiplexing nonblocking sockets as per-connection state
-//! machines — and a content-hash-addressed [`Registry`] of loaded
+//! pollers multiplexing [`conn::LineConn`]s, nonblocking line sockets,
+//! as per-connection state machines — and a content-hash-addressed
+//! [`Registry`] of loaded
 //! models with pre-warmed compiled forms and disk snapshots
 //! (`save`/`restore` verbs; restarted servers warm-start under identical
 //! content ids). Each poller answers the requests it frames on its own
@@ -80,6 +81,7 @@
 
 mod admission;
 pub mod client;
+pub mod conn;
 pub mod error;
 pub mod json;
 pub mod loadgen;

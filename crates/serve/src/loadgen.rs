@@ -1,8 +1,9 @@
 //! A built-in load generator for the event-driven server.
 //!
 //! One thread drives an arbitrary number of concurrent keep-alive
-//! connections with the same nonblocking-socket technique the server's
-//! poller uses, so a single benchmark process can hold a thousand open
+//! connections, each a [`LineConn`] — the nonblocking, newline-framed
+//! connection the server's poller shards run on — read through one
+//! scratch buffer, so a single benchmark process can hold a thousand open
 //! sockets against a poller pool without spawning a thousand client
 //! threads. Each connection pipelines up to `pipeline_depth` copies of
 //! one request line and keeps refilling until its per-connection quota
@@ -22,13 +23,14 @@
 //! so one run can compare direct-to-replica against through-router
 //! service or spot an unhealthy fleet member by its error share.
 
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use crate::conn::{LineConn, CHUNK};
 use crate::error::ServeError;
 use crate::json::{self, Json};
-use crate::readiness::{self, PollFd};
+use crate::protocol::LineEvent;
+use crate::readiness;
 
 /// Longest single readiness wait between sweeps that moved no bytes.
 const IDLE_WAIT: Duration = Duration::from_millis(2);
@@ -156,16 +158,12 @@ impl LoadgenReport {
 
 /// One driven connection's progress.
 struct Driven {
-    stream: TcpStream,
+    /// Frames replies of any length.
+    io: LineConn,
     /// Index into [`LoadgenConfig::targets`] this connection drives.
     target: usize,
-    /// Bytes queued for the socket (whole request lines).
-    out: Vec<u8>,
-    /// Write cursor into `out`.
-    cursor: usize,
-    /// Reply bytes not yet framed into a line.
-    inbuf: Vec<u8>,
-    /// Request lines fully handed to the kernel.
+    /// Request lines fully queued (the kernel may still owe some of
+    /// their bytes).
     sent: usize,
     /// Reply lines consumed.
     got: usize,
@@ -176,15 +174,9 @@ struct Driven {
 
 impl Driven {
     fn connect(addr: SocketAddr, target: usize) -> std::io::Result<Driven> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
         Ok(Driven {
-            stream,
+            io: LineConn::new(TcpStream::connect(addr)?, usize::MAX)?,
             target,
-            out: Vec::new(),
-            cursor: 0,
-            inbuf: Vec::new(),
             sent: 0,
             got: 0,
             failed: false,
@@ -194,93 +186,50 @@ impl Driven {
 
     /// Runs one nonblocking step: top up the pipeline, push writes, pull
     /// and classify replies. Returns whether any byte moved.
-    fn step(&mut self, cfg: &LoadgenConfig, report: &mut LoadgenReport) -> bool {
+    fn step(
+        &mut self,
+        cfg: &LoadgenConfig,
+        report: &mut LoadgenReport,
+        scratch: &mut [u8],
+    ) -> bool {
         if self.done {
             return false;
         }
-        let mut progressed = false;
+        let quota = cfg.requests_per_connection;
         // Keep `pipeline_depth` requests outstanding until the quota is
-        // queued. `sent` counts fully queued lines; the write cursor
-        // below may still owe the kernel some of their bytes.
-        while self.sent < cfg.requests_per_connection && self.sent - self.got < cfg.pipeline_depth {
-            self.out.extend_from_slice(cfg.request_line.as_bytes());
+        // queued.
+        while self.sent < quota && self.sent - self.got < cfg.pipeline_depth {
+            self.io.queue(cfg.request_line.as_bytes());
             self.sent += 1;
             report.charge_sent(self.target);
         }
-        while self.cursor < self.out.len() {
-            match self.stream.write(&self.out[self.cursor..]) {
-                Ok(0) => {
-                    self.fail(report);
-                    return true;
-                }
-                Ok(n) => {
-                    self.cursor += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.fail(report);
-                    return true;
-                }
-            }
+        let wrote = self.io.write();
+        if wrote > 0 && self.io.unflushed() == 0 && self.sent == quota {
+            // Quota fully written: half-close so the server sees EOF
+            // once its replies drain.
+            self.io.half_close();
         }
-        if self.cursor == self.out.len() && !self.out.is_empty() {
-            self.out.clear();
-            self.cursor = 0;
-            if self.sent == cfg.requests_per_connection {
-                // Quota fully written: half-close so the server sees EOF
-                // once its replies drain.
-                drop(self.stream.shutdown(std::net::Shutdown::Write));
-            }
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if self.got < self.sent || self.sent < cfg.requests_per_connection {
-                        // Server hung up with replies (or quota) owed.
-                        self.fail(report);
-                    } else {
-                        self.done = true;
-                    }
-                    return true;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.drain_lines(cfg.requests_per_connection, report);
-                    if self.done {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.fail(report);
-                    return true;
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Frames and classifies every complete reply line in `inbuf`.
-    fn drain_lines(&mut self, quota: usize, report: &mut LoadgenReport) {
-        let mut start = 0;
-        while let Some(pos) = self.inbuf[start..].iter().position(|&b| b == b'\n') {
-            let line = &self.inbuf[start..start + pos];
-            report.charge(self.target, classify(line));
+        let read = self.io.read(scratch, usize::MAX);
+        while let Some(event) = self.io.next_event() {
+            let bucket = match event {
+                LineEvent::Line(line) => classify(&line),
+                LineEvent::TooLong { .. } | LineEvent::InvalidUtf8 => Bucket::Error,
+            };
+            report.charge(self.target, bucket);
             self.got += 1;
-            start += pos + 1;
         }
-        self.inbuf.drain(..start);
-        if self.sent == quota && self.got == self.sent && self.out.is_empty() {
+        let owed = self.got < self.sent || self.sent < quota;
+        if self.io.dead() || (self.io.eof() && owed) {
+            // The socket died, or the server hung up with replies (or
+            // quota) owed.
+            self.fail(report);
+        } else if !owed && self.io.unflushed() == 0 {
             // Full quota sent, every reply in, nothing left to write.
             // The server will close after our half-close, but the
             // ledger is already balanced.
             self.done = true;
         }
+        wrote > 0 || read > 0 || self.done
     }
 
     /// Marks the connection dead and charges every unanswered request to
@@ -302,11 +251,8 @@ enum Bucket {
 }
 
 /// Buckets one reply line by its wire shape.
-fn classify(line: &[u8]) -> Bucket {
-    let parsed = std::str::from_utf8(line)
-        .ok()
-        .and_then(|s| json::parse(s).ok());
-    let Some(reply) = parsed else {
+fn classify(line: &str) -> Bucket {
+    let Ok(reply) = json::parse(line) else {
         return Bucket::Error;
     };
     if reply.get("ok").and_then(Json::as_bool) == Some(true) {
@@ -360,6 +306,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     }
     report.connections = conns.len();
     let mut interest = Vec::new();
+    let mut scratch = vec![0_u8; CHUNK];
     while conns.iter().any(|c| !c.done) {
         if start.elapsed() > cfg.timeout {
             for c in &mut conns {
@@ -371,7 +318,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         }
         let mut progressed = false;
         for c in &mut conns {
-            progressed |= c.step(cfg, &mut report);
+            progressed |= c.step(cfg, &mut report, &mut scratch);
         }
         if !progressed {
             interest.clear();
@@ -379,7 +326,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                 conns
                     .iter()
                     .filter(|c| !c.done)
-                    .map(|c| PollFd::new(&c.stream, true, c.cursor < c.out.len())),
+                    .filter_map(|c| c.io.interest(true)),
             );
             let left = cfg.timeout.saturating_sub(start.elapsed());
             readiness::wait_ready(&mut interest, left.min(IDLE_WAIT));
@@ -397,22 +344,22 @@ mod tests {
     #[test]
     fn classify_buckets_by_wire_shape() {
         assert_eq!(
-            classify(br#"{"id":1,"ok":true,"result":{"pong":true}}"#),
+            classify(r#"{"id":1,"ok":true,"result":{"pong":true}}"#),
             Bucket::Served
         );
         assert_eq!(
-            classify(br#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#),
+            classify(r#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#),
             Bucket::ShedOverloaded
         );
         assert_eq!(
-            classify(br#"{"id":3,"ok":false,"error":{"code":"deadline_exceeded","message":"x"}}"#),
+            classify(r#"{"id":3,"ok":false,"error":{"code":"deadline_exceeded","message":"x"}}"#),
             Bucket::ShedDeadline
         );
         assert_eq!(
-            classify(br#"{"id":4,"ok":false,"error":{"code":"bad_request"}}"#),
+            classify(r#"{"id":4,"ok":false,"error":{"code":"bad_request"}}"#),
             Bucket::Error
         );
-        assert_eq!(classify(b"not json at all"), Bucket::Error);
+        assert_eq!(classify("not json at all"), Bucket::Error);
     }
 
     #[test]

@@ -4,18 +4,19 @@
 //! Accepted sockets are registered round-robin onto poller **shards**.
 //! Each shard owns its connections outright — no cross-thread connection
 //! state — and runs every request it frames to completion on its own
-//! thread. A pass over a connection makes three moves:
+//! thread. Each connection is a [`LineConn`] plus the trace stamps of the
+//! replies it owes, and a pass over it makes three moves:
 //!
-//! 1. **read**: drain readable bytes into the resumable
-//!    [`LineReader`](crate::protocol::LineReader) (budgeted, and skipped
-//!    while the write buffer is over the high-watermark — backpressure
-//!    propagates to the client's TCP window instead of server memory);
+//! 1. **read**: pull at most [`READ_BUDGET`] bytes through the shard's one
+//!    scratch buffer, unless the connection is over its write
+//!    high-watermark ([`LineConn::wants_read`]) — backpressure propagates
+//!    to the client's TCP window instead of server memory;
 //! 2. **answer**: frame each complete line and answer it — parse, admit,
-//!    evaluate, render — into the write buffer, in request order. A reply
-//!    that leaves at least [`CHUNK`] bytes buffered is written at once, so
+//!    evaluate, render — into the write queue, in request order. A reply
+//!    that leaves at least [`CHUNK`] bytes queued is written at once, so
 //!    the client reads it while later lines are answered; smaller replies
 //!    leave together in the pass's write;
-//! 3. **write**: push buffered bytes until the socket would block,
+//! 3. **write**: push queued bytes until the socket would block,
 //!    completing trace records as their byte ranges reach the kernel.
 //!
 //! Each line is answered before the next is framed, so pipelined clients
@@ -28,13 +29,13 @@
 //! connection and at shutdown. A connection asks to be read unless it is
 //! at EOF, dead, shutting down or over the watermark — a level-triggered
 //! EOF left in the set would end every wait and spin the shard — and to
-//! be written while bytes are buffered. The shard empties the doorbell
+//! be written while bytes are queued. The shard empties the doorbell
 //! after each wait and before it takes its inbox, so a handoff that lands
 //! mid-pass ends the next wait. [`IDLE_WAIT`] bounds the wait only as a
 //! backstop.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,21 +43,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::conn::{LineConn, CHUNK, READ_BUDGET};
 use crate::error::ServeError;
 use crate::json::Json;
-use crate::protocol::{LineEvent, LineReader};
+use crate::protocol::LineEvent;
 use crate::readiness::{self, PollFd};
 use crate::server::{self, Ctx, PendingTrace};
 
-/// Read budget per connection per pass, so one firehose client cannot
-/// starve its shard-mates.
-const READ_BUDGET: usize = 256 * 1024;
-/// Per-read chunk size, and the buffered reply size that is written
-/// without waiting for the end of the pass.
-const CHUNK: usize = 16 * 1024;
-/// Buffered-response bytes above which a connection stops being read —
-/// the slow-consumer backpressure threshold.
-const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 /// Timeout of the shard's readiness wait. Every event a shard acts on
 /// ends the wait sooner, so this is only a backstop.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
@@ -162,6 +155,7 @@ impl PollerPool {
 fn run_shard(shard: &Shard, doorbell: &UnixStream, ctx: &Ctx) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut interest = Vec::new();
+    let mut scratch = vec![0_u8; CHUNK];
     loop {
         hmdiv_obs::counter_add("serve.poll.wakeups", 1);
         let shutdown = ctx.signal.is_requested();
@@ -177,7 +171,7 @@ fn run_shard(shard: &Shard, doorbell: &UnixStream, ctx: &Ctx) {
         }
         let mut progress = false;
         for conn in &mut conns {
-            progress |= conn.pass(ctx, shutdown);
+            progress |= conn.pass(ctx, shutdown, &mut scratch);
         }
         conns.retain(|conn| {
             if conn.done(shutdown) {
@@ -204,110 +198,63 @@ fn run_shard(shard: &Shard, doorbell: &UnixStream, ctx: &Ctx) {
 fn wait(doorbell: &UnixStream, conns: &[Conn], shutdown: bool, interest: &mut Vec<PollFd>) {
     interest.clear();
     interest.push(PollFd::new(doorbell, true, false));
-    for conn in conns {
-        let (read, write) = (conn.wants_read(shutdown), conn.out.pending() > 0);
-        if read || write {
-            interest.push(PollFd::new(&conn.stream, read, write));
-        }
-    }
+    interest.extend(
+        conns
+            .iter()
+            .filter_map(|conn| conn.io.interest(conn.wants_read(shutdown))),
+    );
     readiness::wait_ready(interest, IDLE_WAIT);
 }
 
-/// A byte range of the write buffer whose flush completes a traced
-/// request: once `end` bytes have reached the kernel, the record's write
+/// A byte range of the write queue whose flush completes a traced
+/// request: once `end` bytes have reached the kernel (an offset on the
+/// connection's lifetime [`LineConn::flushed`] scale), the record's write
 /// stage is stamped and it lands in the flight recorder.
 struct WriteMark {
     end: u64,
     trace: PendingTrace,
 }
 
-/// The buffered, backpressured write half of a connection.
-struct OutBuf {
-    buf: Vec<u8>,
-    cursor: usize,
-    /// Total bytes ever appended / flushed to the kernel — mark ranges are
-    /// absolute offsets on this monotone scale, surviving buffer resets.
-    appended: u64,
-    flushed: u64,
+/// One multiplexed connection: its line I/O plus the trace stamps of
+/// the requests it is answering.
+struct Conn {
+    io: LineConn,
     marks: VecDeque<WriteMark>,
-    /// When the oldest still-buffered response started waiting — the
+    /// When the oldest still-queued reply started waiting — the
     /// write-stage start for every mark completed in this drain cycle.
     write_start: Option<Instant>,
-}
-
-impl OutBuf {
-    fn new() -> OutBuf {
-        OutBuf {
-            buf: Vec::new(),
-            cursor: 0,
-            appended: 0,
-            flushed: 0,
-            marks: VecDeque::new(),
-            write_start: None,
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
-
-    fn append(&mut self, bytes: &[u8], trace: Option<PendingTrace>) {
-        if self.write_start.is_none() {
-            self.write_start = Some(Instant::now());
-        }
-        self.buf.extend_from_slice(bytes);
-        self.appended += bytes.len() as u64;
-        if let Some(trace) = trace {
-            self.marks.push_back(WriteMark {
-                end: self.appended,
-                trace,
-            });
-        }
-    }
-}
-
-/// One multiplexed connection's state machine.
-struct Conn {
-    stream: TcpStream,
-    reader: LineReader,
-    chunk: Vec<u8>,
-    out: OutBuf,
-    /// First socket bytes of the current read batch (the read-stage start
-    /// for the requests they frame).
+    /// When the first pass of the current read batch got bytes (the
+    /// read-stage start for the requests they frame).
     read_start: Option<Instant>,
-    peer_closed: bool,
-    dead: bool,
 }
 
 impl Conn {
     /// Puts the socket into multiplexed mode; `None` if setup syscalls
     /// fail (the stream drops, resetting the connection).
     fn adopt(stream: TcpStream, max_line_bytes: usize) -> Option<Conn> {
-        // Nagle would hold back small replies behind unacknowledged ones.
-        drop(stream.set_nodelay(true));
-        stream.set_nonblocking(true).ok()?;
         Some(Conn {
-            stream,
-            reader: LineReader::new(max_line_bytes),
-            chunk: vec![0_u8; CHUNK],
-            out: OutBuf::new(),
+            io: LineConn::new(stream, max_line_bytes).ok()?,
+            marks: VecDeque::new(),
+            write_start: None,
             read_start: None,
-            peer_closed: false,
-            dead: false,
         })
     }
 
-    /// Whether the connection should be read: not at EOF, dead or
-    /// shutting down, and not over the write watermark.
+    /// Whether the connection should be read: [`LineConn::wants_read`],
+    /// and not shutting down.
     fn wants_read(&self, shutdown: bool) -> bool {
-        !self.dead && !self.peer_closed && !shutdown && self.out.pending() < WRITE_HIGH_WATERMARK
+        !shutdown && self.io.wants_read()
     }
 
     /// One full state-machine pass; returns whether anything moved.
-    fn pass(&mut self, ctx: &Ctx, shutdown: bool) -> bool {
+    fn pass(&mut self, ctx: &Ctx, shutdown: bool, scratch: &mut [u8]) -> bool {
         let mut progress = false;
         if self.wants_read(shutdown) {
-            progress |= self.read_some();
+            if self.io.read(scratch, READ_BUDGET) > 0 {
+                self.read_start.get_or_insert_with(Instant::now);
+                progress = true;
+            }
+            progress |= self.io.eof() || self.io.dead();
         }
         progress |= self.answer_lines(ctx);
         progress |= self.write_some(ctx);
@@ -317,46 +264,17 @@ impl Conn {
     /// Everything owed has been written (or can never be): drop the
     /// connection.
     fn done(&self, shutdown: bool) -> bool {
-        self.dead
-            || (self.out.pending() == 0
-                && self.out.marks.is_empty()
-                && (self.peer_closed || shutdown))
-    }
-
-    /// Drains readable bytes (budgeted) into the line reader.
-    fn read_some(&mut self) -> bool {
-        let mut total = 0;
-        loop {
-            match self.stream.read(&mut self.chunk) {
-                Ok(0) => {
-                    self.peer_closed = true;
-                    return true;
-                }
-                Ok(n) => {
-                    self.read_start.get_or_insert_with(Instant::now);
-                    self.reader.push(&self.chunk[..n]);
-                    total += n;
-                    if total >= READ_BUDGET {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return total > 0,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return true;
-                }
-            }
-        }
+        self.io.dead()
+            || (self.io.unflushed() == 0 && self.marks.is_empty() && (self.io.eof() || shutdown))
     }
 
     /// Frames each complete buffered line and answers it into the write
-    /// buffer, in order. Framing faults become error replies — the
+    /// queue, in order. Framing faults become error replies — the
     /// connection survives both over-limit lines (the reader resyncs to
     /// the next newline) and invalid UTF-8.
     fn answer_lines(&mut self, ctx: &Ctx) -> bool {
         let mut framed = None;
-        while let Some(event) = self.reader.next_event() {
+        while let Some(event) = self.io.next_event() {
             // One receive instant per pass: everything framed together
             // traces the same read span.
             let (received, read_start) =
@@ -375,70 +293,36 @@ impl Conn {
                     (server::error_line(&Json::Null, None, &e), None)
                 }
             };
-            self.out.append(line.as_bytes(), trace);
-            if self.out.pending() >= CHUNK {
+            self.write_start.get_or_insert_with(Instant::now);
+            self.io.queue(line.as_bytes());
+            if let Some(trace) = trace {
+                let end = self.io.flushed() + self.io.unflushed() as u64;
+                self.marks.push_back(WriteMark { end, trace });
+            }
+            if self.io.unflushed() >= CHUNK {
                 self.write_some(ctx);
             }
         }
         framed.is_some()
     }
 
-    /// Writes buffered bytes until the socket would block, completing
+    /// Writes queued bytes until the socket would block, completing
     /// trace records whose byte ranges have fully reached the kernel. A
     /// dead connection completes its records without a write stamp — the
     /// replies never made it, but sheds stay observable.
     fn write_some(&mut self, ctx: &Ctx) -> bool {
-        if self.out.pending() == 0 && self.out.marks.is_empty() {
+        if self.io.unflushed() == 0 && self.marks.is_empty() {
             return false;
         }
-        let mut progress = false;
-        if !self.dead {
-            while self.out.cursor < self.out.buf.len() {
-                match self.stream.write(&self.out.buf[self.out.cursor..]) {
-                    Ok(0) => {
-                        self.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.out.cursor += n;
-                        self.out.flushed += n as u64;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.dead = true;
-                        break;
-                    }
-                }
-            }
-            if self.out.cursor == self.out.buf.len() && self.out.cursor > 0 {
-                self.out.buf.clear();
-                self.out.cursor = 0;
-                drop(self.stream.flush());
-            }
-        }
-        let now = Instant::now();
+        let mut progress = self.io.write() > 0;
+        let span = self.write_start.map(|start| (start, Instant::now()));
         let mut shed = false;
-        while self
-            .out
-            .marks
-            .front()
-            .is_some_and(|m| m.end <= self.out.flushed)
-        {
-            let mark = self
-                .out
-                .marks
-                .pop_front()
-                .expect("front() just matched this mark");
-            let span = self.out.write_start.map(|start| (start, now));
+        while let Some(mark) = self.marks.pop_front_if(|m| m.end <= self.io.flushed()) {
             shed |= server::complete_trace(ctx, mark.trace, span);
             progress = true;
         }
-        if self.dead {
-            self.out.buf.clear();
-            self.out.cursor = 0;
-            while let Some(mark) = self.out.marks.pop_front() {
+        if self.io.dead() {
+            for mark in self.marks.drain(..) {
                 shed |= server::complete_trace(ctx, mark.trace, None);
                 progress = true;
             }
@@ -446,8 +330,8 @@ impl Conn {
         if shed {
             server::dump_on_shed(ctx);
         }
-        if self.out.pending() == 0 && self.out.marks.is_empty() {
-            self.out.write_start = None;
+        if self.io.unflushed() == 0 && self.marks.is_empty() {
+            self.write_start = None;
         }
         progress
     }

@@ -2,11 +2,13 @@
 //! `poll(2)`.
 //!
 //! The fleet router, the server's poller shards and the
-//! [`loadgen`](crate::loadgen) driver sweep their nonblocking sockets for
-//! as long as sweeps move bytes. When a sweep moves none, they block in
-//! [`wait_ready`] until one of their sockets is ready or a timeout
-//! passes, instead of sleeping a fixed interval: a request or reply that
-//! lands during the wait is handled at once rather than after the nap.
+//! [`loadgen`](crate::loadgen) driver sweep their nonblocking
+//! [`LineConn`](crate::conn::LineConn)s for as long as sweeps move bytes.
+//! When a sweep moves none, they block in [`wait_ready`] on each
+//! connection's [`interest`](crate::conn::LineConn::interest) until one
+//! is ready or a timeout passes, instead of sleeping a fixed interval: a
+//! request or reply that lands during the wait is handled at once rather
+//! than after the nap.
 //! The server's accept loop waits on its listener the same way, so a
 //! fresh connection is accepted as soon as it arrives.
 //!

@@ -7,7 +7,7 @@
 //! `f64::to_bits`), so the id commits to the exact numerics: two models
 //! that differ in the 52nd mantissa bit get different ids.
 //!
-//! Every artifact's dense [`CompiledModel`](hmdiv_core::CompiledModel)
+//! Every artifact's dense [`CompiledModel`]
 //! form is pre-warmed at load, so the first `evaluate` on a fresh model
 //! pays no compile latency on the poller that answers it. If the caller
 //! supplies a serialized universe manifest, compatibility is verified at

@@ -2,9 +2,10 @@
 //! verb routing into the registry and the compiled evaluation kernel.
 //!
 //! Connections are **not** given their own threads. The accept loop
-//! registers each socket with a small fixed [`PollerPool`] of readiness
-//! threads (see [`crate::poller`]); every connection is a state machine
-//! multiplexed over nonblocking reads and buffered backpressured writes.
+//! registers each socket with a small fixed pool of readiness-poller
+//! threads; every connection is a state machine over a
+//! [`LineConn`](crate::conn::LineConn): nonblocking reads and buffered,
+//! backpressured writes.
 //! The poller that frames a request line answers it on its own thread,
 //! in request order: `answer_line` parses, binds, admits, evaluates and
 //! renders it to completion. Replies are bit-identical to direct
@@ -444,8 +445,8 @@ impl Job<'_> {
 /// Parses, routes and answers one request line. Returns the reply line
 /// and, with tracing on, its pending trace record, write-stamped later
 /// when its bytes reach the socket. `received` is when the line was
-/// framed, `read_start` when the first socket bytes that contributed to
-/// it arrived.
+/// framed, `read_start` when the read that brought its first bytes
+/// returned.
 pub(crate) fn answer_line(
     line: &str,
     received: Instant,
