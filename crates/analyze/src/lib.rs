@@ -2,7 +2,7 @@
 //!
 //! The workspace evaluates everything through compiled IRs: `hmdiv-rbd`'s
 //! postfix structure-function programs and `hmdiv-core`'s dense
-//! [`CompiledModel`](hmdiv_core::CompiledModel) parameter slots. This crate
+//! [`CompiledModel`] parameter slots. This crate
 //! verifies those artifacts *before* they are evaluated — catch faults
 //! before operation, not during it:
 //!

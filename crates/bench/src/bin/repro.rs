@@ -413,10 +413,32 @@ fn parse_serve_args(args: &[String]) -> Result<(hmdiv_serve::ServerConfig, bool)
     Ok((config, metrics))
 }
 
+/// The router of `repro serve --fleet`: it listens on `addr` and takes
+/// the replicas' line limit from `replica_args`, the flags forwarded to
+/// every replica, so it rejects no line a replica would accept.
+fn fleet_router_config(
+    addr: String,
+    replica_args: &[String],
+) -> Result<hmdiv_fleet::RouterConfig, String> {
+    let (replica, _metrics) = parse_serve_args(replica_args)?;
+    Ok(hmdiv_fleet::RouterConfig {
+        addr,
+        max_line_bytes: replica.max_line_bytes,
+        ..hmdiv_fleet::RouterConfig::default()
+    })
+}
+
 /// Runs a replicated fleet: N `repro serve` child replicas on ephemeral
 /// ports plus the consistent-hash front router in-process. `addr` is the
 /// router's listen address; `extra_args` are forwarded to every replica.
 fn fleet_serve_main(count: usize, addr: String, extra_args: &[String]) -> ExitCode {
+    let config = match fleet_router_config(addr, extra_args) {
+        Ok(config) => config,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
         Err(e) => {
@@ -432,9 +454,8 @@ fn fleet_serve_main(count: usize, addr: String, extra_args: &[String]) -> ExitCo
         }
     };
     let router = match hmdiv_fleet::Router::start(hmdiv_fleet::RouterConfig {
-        addr,
         backends: replicas.addrs(),
-        ..hmdiv_fleet::RouterConfig::default()
+        ..config
     }) {
         Ok(router) => router,
         Err(e) => {
@@ -1375,4 +1396,41 @@ fn behavioural(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|&flag| flag.to_owned()).collect()
+    }
+
+    #[test]
+    fn the_fleet_router_takes_the_replicas_line_limit() {
+        let config = fleet_router_config(
+            "127.0.0.1:0".to_owned(),
+            &args(&["--max-line-bytes", "4000000"]),
+        )
+        .unwrap();
+        assert_eq!(config.addr, "127.0.0.1:0");
+        assert_eq!(config.max_line_bytes, 4_000_000);
+        // Without the flag both sides keep the replica's default.
+        let config = fleet_router_config("127.0.0.1:0".to_owned(), &args(&["--metrics"])).unwrap();
+        assert_eq!(
+            config.max_line_bytes,
+            hmdiv_serve::ServerConfig::default().max_line_bytes
+        );
+        // A bad replica flag fails before any replica starts.
+        for bad in [
+            &["--max-line-bytes", "lots"][..],
+            &["--max-line-bytes"],
+            &["--no-such-flag"],
+        ] {
+            assert!(
+                fleet_router_config("127.0.0.1:0".to_owned(), &args(bad)).is_err(),
+                "{bad:?}"
+            );
+        }
+    }
 }

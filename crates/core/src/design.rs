@@ -244,12 +244,13 @@ fn prune_slop(classes: usize) -> f64 {
 /// Each greedy round first bounds every candidate's benefit with the
 /// closed-form derivative certificate (the same eq.-(8) sensitivity
 /// `hmdiv-analyze` certifies: benefit `= p(x)·t(x)·PMf(x)·(1−1/s)`,
-/// bracketed by [`prune_slop`]); candidates whose upper bound cannot
-/// reach the best lower bound are discarded *without* evaluation. Every
-/// possible argmax survives — the bound brackets the exact benefit — and
-/// survivors keep their original order, so running the unpruned
-/// selection rule over them picks the **bit-identical** winner; only the
-/// evaluation count changes (see [`PruneStats`]).
+/// bracketed by a float slack of `1e-12` plus `1e-15` per class);
+/// candidates whose upper bound cannot reach the best lower bound are
+/// discarded *without* evaluation. Every possible argmax survives — the
+/// bound brackets the exact benefit — and survivors keep their original
+/// order, so running the unpruned selection rule over them picks the
+/// **bit-identical** winner; only the evaluation count changes (see
+/// [`PruneStats`]).
 ///
 /// `threads > 1` evaluates survivors in contiguous chunks on up to that
 /// many `hmdiv_prob::par` workers; the batch kernel is bit-identical per

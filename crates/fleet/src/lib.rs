@@ -25,7 +25,9 @@
 //!   verbs follow the ring; the registry-mutating verbs (`load`,
 //!   `load_cohort`, `save`, `restore`) broadcast so replicas stay
 //!   converged. Request and reply lines are forwarded *verbatim* — the
-//!   fleet preserves the serve core's bit-identical evaluation guarantee.
+//!   fleet preserves the serve core's bit-identical evaluation guarantee —
+//!   and the router reads them only through
+//!   [`hmdiv_serve::protocol`], the replica's own wire code.
 //!
 //! * **Failover** ([`health`]) — a prober pings each replica on a
 //!   cadence, ejects after consecutive failures, and re-admits only
@@ -46,7 +48,6 @@ pub mod process;
 pub mod ring;
 pub mod router;
 pub mod sync;
-mod wire;
 
 pub use health::{BackendHealth, BackendSnapshot, FleetState, HealthPolicy, ProbeVerdict};
 pub use process::ReplicaSet;

@@ -31,8 +31,13 @@
 //!
 //! Request lines are *forwarded verbatim* (replies too), so the fleet
 //! preserves the serve core's bit-identity guarantee: the router adds
-//! routing, never re-serialization. Only a shallow scan (`wire::peek`)
-//! looks at each request, extracting the verb and the raw `id` slice.
+//! routing, never re-serialization. The router reads the wire only
+//! through [`hmdiv_serve::protocol`], as a replica does:
+//! [`peek_request`] reads each request's verb and id (and stops there),
+//! and [`decode_reply`] reads a reply where the router must know whether
+//! it succeeded (a broadcast's legs, a health probe's `ping`). Replies
+//! are framed with no length limit: a reply's length follows from a
+//! request line the replica accepted.
 //!
 //! Routing:
 //!
@@ -59,14 +64,14 @@
 //! peer ([`crate::sync::reconcile`]).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hmdiv_serve::conn::{LineConn, CHUNK, READ_BUDGET};
-use hmdiv_serve::json::{self, Json};
-use hmdiv_serve::protocol::{err_line, LineEvent};
+use hmdiv_serve::json::Json;
+use hmdiv_serve::protocol::{decode_reply, err_line, ok_line, peek_request, LineEvent};
 use hmdiv_serve::readiness::{self, PollFd};
 use hmdiv_serve::shutdown::ShutdownSignal;
 use hmdiv_serve::{Client, ServeError};
@@ -74,7 +79,6 @@ use hmdiv_serve::{Client, ServeError};
 use crate::health::{FleetState, HealthPolicy, ProbeVerdict};
 use crate::ring::{mix64, HashRing};
 use crate::sync;
-use crate::wire;
 
 /// Verbs that must reach every healthy replica to keep their registries
 /// converged.
@@ -83,6 +87,9 @@ const BROADCAST_VERBS: [&str; 4] = ["load", "load_cohort", "save", "restore"];
 /// Longest readiness wait of an idle event loop: how late it notices an
 /// ejection or an external shutdown request, which no socket reports.
 pub const IDLE_WAIT: Duration = Duration::from_millis(2);
+
+/// Deadline for lazily opening a backend connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -93,7 +100,8 @@ pub struct RouterConfig {
     pub backends: Vec<SocketAddr>,
     /// Ring points per backend.
     pub vnodes: usize,
-    /// Per-line size limit (mirrors the replicas' limit).
+    /// Longest client request line, in bytes. Give it the replicas'
+    /// limit, so that the router rejects no line a replica would accept.
     pub max_line_bytes: usize,
     /// Cadence of the health prober.
     pub probe_interval: Duration,
@@ -104,8 +112,6 @@ pub struct RouterConfig {
     /// Consecutive successful probes that qualify an ejected backend
     /// for re-admission (after a registry sync).
     pub readmit_after: u32,
-    /// Deadline for lazily opening a backend connection.
-    pub connect_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -119,7 +125,6 @@ impl Default for RouterConfig {
             probe_timeout: Duration::from_millis(1000),
             eject_after: 3,
             readmit_after: 2,
-            connect_timeout: Duration::from_millis(250),
         }
     }
 }
@@ -131,11 +136,12 @@ enum Pending {
     /// Waiting on one backend reply.
     Await {
         token: u64,
-        /// Raw id slice for synthesizing a failover error.
-        id_raw: String,
+        /// The request's id, for synthesizing a failover error.
+        id: Json,
     },
-    /// Waiting on every healthy backend (registry-mutating verbs).
-    Broadcast { slots: Vec<BroadcastSlot> },
+    /// Waiting on every healthy backend (registry-mutating verbs). A leg
+    /// lost in flight is answered with the request's `id`.
+    Broadcast { slots: Vec<BroadcastSlot>, id: Json },
 }
 
 /// One backend's leg of a broadcast.
@@ -274,10 +280,9 @@ impl Drop for Router {
 }
 
 /// Synthesizes the typed failover error reply for a lost request.
-fn unavailable_line(id_raw: &str, backend: SocketAddr) -> String {
-    let id = json::parse(id_raw).unwrap_or(Json::Null);
+fn unavailable_line(id: &Json, backend: SocketAddr) -> String {
     err_line(
-        &id,
+        id,
         None,
         &ServeError::BackendUnavailable {
             backend: backend.to_string(),
@@ -439,18 +444,17 @@ impl EventLoop {
         for client in self.clients.iter_mut().flatten() {
             for pending in &mut client.pending {
                 match pending {
-                    Pending::Await { token: t, id_raw } if *t == token => {
-                        let line = reply.unwrap_or_else(|| unavailable_line(id_raw, addr));
+                    Pending::Await { token: t, id } if *t == token => {
+                        let line = reply.unwrap_or_else(|| unavailable_line(id, addr));
                         *pending = Pending::Done(line);
                         return;
                     }
-                    Pending::Broadcast { slots } => {
+                    Pending::Broadcast { slots, id } => {
                         if let Some(slot) = slots
                             .iter_mut()
                             .find(|s| s.token == token && s.reply.is_none())
                         {
-                            slot.reply =
-                                Some(reply.unwrap_or_else(|| unavailable_line("null", addr)));
+                            slot.reply = Some(reply.unwrap_or_else(|| unavailable_line(id, addr)));
                             return;
                         }
                     }
@@ -556,10 +560,10 @@ impl EventLoop {
 
     /// Routes one complete request line from client `c`.
     fn route_request(&mut self, c: usize, line: &str) {
-        let peeked = wire::peek(line);
-        match peeked.verb.as_deref() {
+        let (verb, id) = peek_request(line);
+        match verb.as_deref() {
             Some("metrics") => {
-                let reply = self.metrics_line(peeked.id_raw);
+                let reply = self.metrics_line(&id);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending.push_back(Pending::Done(reply));
                 }
@@ -567,22 +571,21 @@ impl EventLoop {
             Some("shutdown") => {
                 // Drain the router too; the broadcast tells every
                 // replica to drain as well.
-                self.broadcast(c, line);
+                self.broadcast(c, line, id);
                 self.signal.request();
             }
-            Some(verb) if BROADCAST_VERBS.contains(&verb) => self.broadcast(c, line),
-            _ => self.route_stateless(c, line, &peeked),
+            Some(verb) if BROADCAST_VERBS.contains(&verb) => self.broadcast(c, line, id),
+            _ => self.route_stateless(c, line, id),
         }
     }
 
     /// Sends `line` to the first healthy backend on the client's ring
     /// walk, lazily connecting. Synthesizes `backend_unavailable` when
     /// no backend is reachable.
-    fn route_stateless(&mut self, c: usize, line: &str, peeked: &wire::Peek<'_>) {
+    fn route_stateless(&mut self, c: usize, line: &str, id: Json) {
         let Some(ring_key) = self.clients[c].as_ref().map(|conn| conn.ring_key) else {
             return;
         };
-        let id_raw = peeked.id_raw.to_owned();
         // Walk the ring: the owner first, then the failover order. Each
         // reachable-check may eject an unreachable backend, so re-filter
         // through `is_healthy` on every step.
@@ -596,14 +599,14 @@ impl EventLoop {
                 let addr = self.fleet.addr(0);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending
-                        .push_back(Pending::Done(unavailable_line(&id_raw, addr)));
+                        .push_back(Pending::Done(unavailable_line(&id, addr)));
                 }
                 return;
             };
             let b = b as usize;
             if let Some(token) = self.send_to_backend(b, line) {
                 if let Some(conn) = self.clients[c].as_mut() {
-                    conn.pending.push_back(Pending::Await { token, id_raw });
+                    conn.pending.push_back(Pending::Await { token, id });
                 }
                 return;
             }
@@ -614,7 +617,7 @@ impl EventLoop {
                 let addr = self.fleet.addr(b);
                 if let Some(conn) = self.clients[c].as_mut() {
                     conn.pending
-                        .push_back(Pending::Done(unavailable_line(&id_raw, addr)));
+                        .push_back(Pending::Done(unavailable_line(&id, addr)));
                 }
                 return;
             }
@@ -623,7 +626,7 @@ impl EventLoop {
 
     /// Sends `line` to every healthy backend; the pending entry
     /// resolves once all legs answer (or die).
-    fn broadcast(&mut self, c: usize, line: &str) {
+    fn broadcast(&mut self, c: usize, line: &str, id: Json) {
         let healthy = self.fleet.healthy_indices();
         let mut slots = Vec::new();
         for b in healthy {
@@ -635,10 +638,9 @@ impl EventLoop {
         }
         let pending = if slots.is_empty() {
             // No backend reachable at all.
-            let peeked = wire::peek(line);
-            Pending::Done(unavailable_line(peeked.id_raw, self.fleet.addr(0)))
+            Pending::Done(unavailable_line(&id, self.fleet.addr(0)))
         } else {
-            Pending::Broadcast { slots }
+            Pending::Broadcast { slots, id }
         };
         if let Some(conn) = self.clients[c].as_mut() {
             conn.pending.push_back(pending);
@@ -647,13 +649,14 @@ impl EventLoop {
 
     /// Queues `line` on backend `b`'s connection (opening it lazily),
     /// returning the in-flight token, or `None` when the backend is
-    /// unreachable.
+    /// unreachable. Replies are framed with no length limit, as
+    /// [`Client`] frames them: `max_line_bytes` limits client requests.
     fn send_to_backend(&mut self, b: usize, line: &str) -> Option<u64> {
         if self.backends[b].is_none() {
             let addr = self.fleet.addr(b);
-            let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout).ok()?;
+            let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
             self.backends[b] = Some(BackendConn {
-                io: LineConn::new(stream, self.config.max_line_bytes).ok()?,
+                io: LineConn::new(stream, usize::MAX).ok()?,
                 inflight: VecDeque::new(),
             });
         }
@@ -668,7 +671,7 @@ impl EventLoop {
 
     /// The router-local `metrics` reply: fleet topology plus the
     /// process-wide Prometheus exposition.
-    fn metrics_line(&self, id_raw: &str) -> String {
+    fn metrics_line(&self, id: &Json) -> String {
         let snapshot = hmdiv_obs::snapshot();
         let backends: Vec<Json> = (0..self.fleet.len())
             .map(|b| {
@@ -703,8 +706,7 @@ impl EventLoop {
                 ]),
             ),
         ]);
-        let id = json::parse(id_raw).unwrap_or(Json::Null);
-        hmdiv_serve::protocol::ok_line(&id, None, result)
+        ok_line(id, None, result)
     }
 
     /// Drops finished/dead client connections. While draining, an idle
@@ -735,7 +737,7 @@ fn flush_client(conn: &mut ClientConn) -> bool {
     // Resolve fully-answered broadcasts at the head.
     loop {
         match conn.pending.front_mut() {
-            Some(Pending::Broadcast { slots }) if slots.iter().all(|s| s.reply.is_some()) => {
+            Some(Pending::Broadcast { slots, .. }) if slots.iter().all(|s| s.reply.is_some()) => {
                 let line = pick_broadcast_reply(slots);
                 *conn.pending.front_mut().expect("front exists") = Pending::Done(line);
             }
@@ -760,12 +762,7 @@ fn pick_broadcast_reply(slots: &[BroadcastSlot]) -> String {
     let lines: Vec<&String> = slots.iter().filter_map(|s| s.reply.as_ref()).collect();
     lines
         .iter()
-        .find(|line| {
-            json::parse(line)
-                .ok()
-                .and_then(|r| r.get("ok").and_then(Json::as_bool))
-                == Some(true)
-        })
+        .find(|line| decode_reply(line).result.is_ok())
         .or_else(|| lines.first())
         .map_or_else(String::new, |line| (*line).clone())
 }
@@ -794,40 +791,12 @@ fn probe_loop(config: &RouterConfig, fleet: &FleetState, signal: &ShutdownSignal
     }
 }
 
-/// One health probe: fresh connection, `ping` verb, bounded read.
+/// One health probe: a `ping` on a fresh connection, every step bounded
+/// by `timeout`.
 fn probe_once(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return false;
-    }
-    let mut stream = stream;
-    if stream.write_all(b"{\"id\":0,\"verb\":\"ping\"}\n").is_err() {
-        return false;
-    }
-    let mut buf = Vec::new();
-    let mut chunk = [0_u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return false,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.contains(&b'\n') {
-                    let line = String::from_utf8_lossy(&buf);
-                    return json::parse(line.lines().next().unwrap_or(""))
-                        .ok()
-                        .and_then(|r| r.get("ok").and_then(Json::as_bool))
-                        == Some(true);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
+    Client::connect_timeout(addr, timeout)
+        .and_then(|mut client| client.request("ping", Vec::new()))
+        .is_ok()
 }
 
 /// Reconciles backend `b`'s registry from the lowest-indexed healthy

@@ -16,6 +16,10 @@
 //! The mid-line stall and the half-close also guard against a spinning
 //! loop: while the router waits on a backend, it may wake only a few
 //! times per idle timeout.
+//!
+//! The last case fronts a single fake that answers `ping` and drops its
+//! connection at any other line, so a broadcast loses every leg in
+//! flight; its error reply must still echo the request's id.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -506,4 +510,84 @@ fn a_client_that_half_closes_gets_every_pending_reply() {
 
     fx.assert_still_serving(&mut healthy);
     fx.finish();
+}
+
+/// Answers `ping` lines and drops the connection at any other line, so
+/// every other request sent here is lost in flight.
+fn serve_pings_only(mut stream: TcpStream) {
+    while let Some(line) = read_line(&mut stream) {
+        let request = json::parse(&line).expect("the router forwards request lines verbatim");
+        if request.get("verb").and_then(Json::as_str) != Some("ping") {
+            return;
+        }
+        let id = request.get("id").cloned().unwrap_or(Json::Null);
+        let pong = ok_line(
+            &id,
+            None,
+            Json::Obj(vec![("pong".to_owned(), Json::Bool(true))]),
+        );
+        if stream.write_all(pong.as_bytes()).is_err() {
+            return;
+        }
+    }
+}
+
+#[test]
+fn a_broadcast_lost_in_flight_echoes_its_request_id() {
+    let _serial = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("fake backend addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                if let Ok(stream) = stream {
+                    conns.push(std::thread::spawn(move || serve_pings_only(stream)));
+                }
+            }
+            // Joins every connection thread; whether none panicked.
+            let panicked = conns
+                .into_iter()
+                .map(JoinHandle::join)
+                .filter(Result::is_err)
+                .count();
+            panicked == 0
+        })
+    };
+    let router = Router::start(RouterConfig {
+        backends: vec![addr],
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+
+    // A broadcast `load` and a stateless `evaluate`, both lost with the
+    // backend connection: each error echoes its own request's id.
+    let mut client = LineClient::connect(router.addr());
+    client.send(&[
+        "{\"id\":5,\"verb\":\"load\",\"classes\":{}}\n".to_owned(),
+        "{\"id\":6,\"verb\":\"evaluate\"}\n".to_owned(),
+    ]);
+    for id in [5, 6] {
+        let reply = client.recv().expect("a reply for every request");
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id), "{reply}");
+        let code = reply
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str);
+        assert_eq!(code, Some("backend_unavailable"), "{reply}");
+    }
+
+    router.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    // Wake the acceptor so it sees the flag.
+    drop(TcpStream::connect(addr));
+    assert!(
+        acceptor.join().unwrap_or(false),
+        "a fake backend thread panicked"
+    );
 }

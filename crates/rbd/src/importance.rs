@@ -43,7 +43,7 @@ pub struct ImportanceMeasures {
 ///
 /// # Errors
 ///
-/// As [`system_failure`]; additionally [`RbdError::UnknownComponent`] if
+/// As [`system_failure`](crate::reliability::system_failure); additionally [`RbdError::UnknownComponent`] if
 /// `component` does not occur in the diagram.
 ///
 /// # Example

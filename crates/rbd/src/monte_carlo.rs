@@ -85,7 +85,7 @@ const PAR_BLOCK: u64 = 8192;
 /// Parallel [`monte_carlo_failure`]: deterministic for `(seed, samples)`
 /// and bit-identical at any `threads` value.
 ///
-/// Samples are partitioned into fixed blocks of [`PAR_BLOCK`]; block `i`
+/// Samples are partitioned into fixed blocks of 8,192; block `i`
 /// draws from the RNG stream `(seed, i)` (see
 /// [`hmdiv_prob::par::stream_rng`]), so the thread count only decides which
 /// worker evaluates which block. The estimate differs numerically from the

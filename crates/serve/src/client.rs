@@ -3,7 +3,11 @@
 //! One request per call with [`Client::request`], or many at once with
 //! [`Client::pipeline`] — the latter writes every request before reading
 //! any response, so the server frames and answers them together in one
-//! pass per read.
+//! pass per read. Each reply line is parsed once, by
+//! [`protocol::decode_reply`](crate::protocol::decode_reply).
+//! [`Client::connect_timeout`] bounds the connect and every later read
+//! and write, for callers such as a health prober that must not hang on
+//! a stalled server.
 //!
 //! Reconnection is **off by default**: a connection failure surfaces as a
 //! typed [`ServeError::Io`]. Opting in with [`Client::with_retry`] makes
@@ -20,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::ServeError;
-use crate::json::{self, Json};
-use crate::protocol::{LineEvent, LineReader};
+use crate::json::Json;
+use crate::protocol::{decode_reply, LineEvent, LineReader, TracedResponse};
 
 /// Bounded reconnect-with-backoff policy for [`Client::with_retry`].
 ///
@@ -109,14 +113,32 @@ impl Client {
     ///
     /// [`ServeError::Io`] on connection failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServeError> {
-        let stream = connect_stream(addr)?;
-        let addr = stream.peer_addr()?;
+        Client::new(connect_stream(addr)?, None)
+    }
+
+    /// Connects within `timeout`, and bounds every later read and write
+    /// on the connection by it too, so a server that stops answering
+    /// fails the call instead of hanging it. No reconnection.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Io`] on connection failure; later, a read or write
+    /// that times out fails its call with [`ServeError::Io`].
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> Result<Client, ServeError> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        stream.set_nodelay(true)?;
+        Client::new(stream, None)
+    }
+
+    fn new(stream: TcpStream, retry: Option<(RetryPolicy, StdRng)>) -> Result<Client, ServeError> {
         Ok(Client {
+            addr: stream.peer_addr()?,
             stream,
-            addr,
             reader: LineReader::new(usize::MAX),
             next_id: 1,
-            retry: None,
+            retry,
         })
     }
 
@@ -148,14 +170,7 @@ impl Client {
                 }
             }
         };
-        let addr = stream.peer_addr()?;
-        Ok(Client {
-            stream,
-            addr,
-            reader: LineReader::new(usize::MAX),
-            next_id: 1,
-            retry: Some((policy, rng)),
-        })
+        Client::new(stream, Some((policy, rng)))
     }
 
     /// Enables reconnect-with-backoff on an existing client.
@@ -261,13 +276,7 @@ impl Client {
                 }
             }
         };
-        Ok(lines
-            .iter()
-            .map(|line| TracedResponse {
-                trace_id: decode_trace_id(line),
-                result: decode_response(line),
-            })
-            .collect())
+        Ok(lines.iter().map(|line| decode_reply(line)).collect())
     }
 
     /// One write-then-read-all exchange over the current stream.
@@ -318,89 +327,9 @@ fn connect_stream(addr: impl ToSocketAddrs) -> Result<TcpStream, ServeError> {
     Ok(stream)
 }
 
-/// One pipelined response plus the trace id the server echoed, if any.
-#[derive(Debug)]
-pub struct TracedResponse {
-    /// The response envelope's `trace_id` member (16 hex digits),
-    /// verbatim.
-    pub trace_id: Option<String>,
-    /// The decoded result, as [`Client::pipeline`] returns it.
-    pub result: Result<Json, ServeError>,
-}
-
-/// Pulls the echoed `trace_id` out of a response line, if present.
-fn decode_trace_id(line: &str) -> Option<String> {
-    json::parse(line)
-        .ok()?
-        .get("trace_id")?
-        .as_str()
-        .map(str::to_owned)
-}
-
-/// Decodes one response line into the `result` object or a typed error.
-fn decode_response(line: &str) -> Result<Json, ServeError> {
-    let response = json::parse(line).map_err(|e| ServeError::Parse {
-        detail: format!("bad response line: {e}"),
-    })?;
-    match response.get("ok").and_then(Json::as_bool) {
-        Some(true) => response
-            .get("result")
-            .cloned()
-            .ok_or_else(|| ServeError::Parse {
-                detail: "ok response without `result`".to_owned(),
-            }),
-        Some(false) => {
-            let error = response.get("error").ok_or_else(|| ServeError::Parse {
-                detail: "error response without `error`".to_owned(),
-            })?;
-            Err(ServeError::Remote {
-                code: error
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_owned(),
-                message: error
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
-            })
-        }
-        None => Err(ServeError::Parse {
-            detail: "response without boolean `ok`".to_owned(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decodes_success_and_wire_errors() {
-        let ok = decode_response(r#"{"id":1,"ok":true,"result":{"pong":true}}"#).unwrap();
-        assert_eq!(ok.get("pong").and_then(Json::as_bool), Some(true));
-        let err =
-            decode_response(r#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#)
-                .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Remote { ref code, .. } if code == "overloaded"
-        ));
-        assert!(decode_response("garbage").is_err());
-        assert!(decode_response(r#"{"id":3}"#).is_err());
-    }
-
-    #[test]
-    fn trace_ids_decode_when_echoed() {
-        assert_eq!(
-            decode_trace_id(r#"{"id":1,"trace_id":"00000000000000ff","ok":true,"result":{}}"#)
-                .as_deref(),
-            Some("00000000000000ff")
-        );
-        assert_eq!(decode_trace_id(r#"{"id":1,"ok":true,"result":{}}"#), None);
-        assert_eq!(decode_trace_id("garbage"), None);
-    }
 
     #[test]
     fn backoff_doubles_caps_and_jitters_within_bounds() {

@@ -30,7 +30,10 @@
 //! it to the tree parser, so the grammar, the depth limit and every error
 //! offset stay those of [`parse`]. The request decoder in
 //! [`crate::protocol`] uses it to turn a `scenarios` sweep straight into
-//! typed scenarios.
+//! typed scenarios. `walk_object` hands out the same cursors but stops
+//! wherever its caller does: [`crate::protocol::peek_request`] reads a
+//! request's `verb` and `id` with it and leaves the rest of the line
+//! unread.
 
 mod shortest;
 
@@ -266,6 +269,24 @@ pub(crate) fn parse_with<'a>(
     Ok(value)
 }
 
+/// Walks the members of the top-level object of `input` like
+/// [`Cursor::object`], and stops at the first error, whether `each`
+/// returns it or the scanner meets one. Nothing past the point where the
+/// walk stops is read, so a caller after a few leading members returns an
+/// error of its own to stop early.
+pub(crate) fn walk_object<'a, E: From<JsonError>>(
+    input: &'a str,
+    each: impl FnMut(Cow<'a, str>, Cursor<'a, '_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    Cursor {
+        p: &mut p,
+        depth: 0,
+    }
+    .object(each)
+}
+
 /// A borrowed cursor on one value of the input, for decoders that convert
 /// JSON straight into typed values instead of building a [`Json`] tree.
 /// Every method runs the tree parser's own scanner, so the grammar, the
@@ -301,6 +322,11 @@ impl<'a> Cursor<'a, '_> {
     pub(crate) fn num(self) -> Result<f64, JsonError> {
         self.enter()?;
         self.p.number()
+    }
+
+    /// Parses the value into a tree.
+    pub(crate) fn value(self) -> Result<Json, JsonError> {
+        self.p.value(self.depth)
     }
 
     /// Validates the value and skips it without building anything.

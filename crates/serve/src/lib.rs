@@ -32,7 +32,7 @@
 //! serialize → write pipeline into a `hmdiv_obs` flight-recorder ring,
 //! drained by the `trace` verb and dumped automatically on shed events.
 //! Clients may supply a `trace_id` wire field (echoed on every response;
-//! see [`client::TracedResponse`]) to correlate their calls with
+//! see [`TracedResponse`]) to correlate their calls with
 //! server-side records. Tracing is a pure observer — replies stay
 //! bit-identical with it on or off.
 //!
@@ -95,10 +95,11 @@ pub mod registry;
 pub mod server;
 pub mod shutdown;
 
-pub use client::{Client, RetryPolicy, TracedResponse};
+pub use client::{Client, RetryPolicy};
 pub use error::ServeError;
 pub use json::Json;
 pub use loadgen::{LoadgenConfig, LoadgenReport, TargetSplit};
+pub use protocol::TracedResponse;
 pub use registry::{Artifact, ArtifactRow, LoadReceipt, Registry};
 pub use server::{Server, ServerConfig};
 pub use shutdown::ShutdownSignal;

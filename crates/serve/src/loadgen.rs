@@ -12,10 +12,12 @@
 //! unfinished connections, at most 2 ms at a time and never past its
 //! timeout.
 //!
-//! Replies are classified by their wire shape — served (`"ok":true`),
-//! shed (`overloaded` / `deadline_exceeded` error codes), or other
-//! errors — which is exactly the data the shed-vs-served admission
-//! curves in the benchmark reports need.
+//! Replies are decoded by
+//! [`protocol::decode_reply`](crate::protocol::decode_reply) and
+//! classified by their wire shape — served (`"ok":true`), shed
+//! (`overloaded` / `deadline_exceeded` error codes), or other errors —
+//! which is exactly the data the shed-vs-served admission curves in the
+//! benchmark reports need.
 //!
 //! Multiple [`targets`](LoadgenConfig::targets) are driven in one run:
 //! connections round-robin across them and the report carries a
@@ -28,8 +30,7 @@ use std::time::{Duration, Instant};
 
 use crate::conn::{LineConn, CHUNK};
 use crate::error::ServeError;
-use crate::json::{self, Json};
-use crate::protocol::LineEvent;
+use crate::protocol::{decode_reply, LineEvent};
 use crate::readiness;
 
 /// Longest single readiness wait between sweeps that moved no bytes.
@@ -252,20 +253,14 @@ enum Bucket {
 
 /// Buckets one reply line by its wire shape.
 fn classify(line: &str) -> Bucket {
-    let Ok(reply) = json::parse(line) else {
-        return Bucket::Error;
-    };
-    if reply.get("ok").and_then(Json::as_bool) == Some(true) {
-        return Bucket::Served;
-    }
-    match reply
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-    {
-        Some("overloaded") => Bucket::ShedOverloaded,
-        Some("deadline_exceeded") => Bucket::ShedDeadline,
-        _ => Bucket::Error,
+    match decode_reply(line).result {
+        Ok(_) => Bucket::Served,
+        Err(ServeError::Remote { code, .. }) => match code.as_str() {
+            "overloaded" => Bucket::ShedOverloaded,
+            "deadline_exceeded" => Bucket::ShedDeadline,
+            _ => Bucket::Error,
+        },
+        Err(_) => Bucket::Error,
     }
 }
 

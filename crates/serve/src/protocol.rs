@@ -41,8 +41,14 @@
 //! errors (unknown classes, bad factors) are stored in it, not returned,
 //! so they still surface at evaluation. [`Request::take_scenarios`] keeps
 //! returning `Vec<Scenario>` for clients and tests. [`parse_request`] and
-//! the `parse_*` extractors remain the public tree API for clients,
-//! tools and the fleet router.
+//! the `parse_*` extractors remain the public tree API for clients and
+//! tools.
+//!
+//! Two readers serve the fleet router, the [`Client`](crate::Client) and
+//! the load generator, on the same scanner: [`peek_request`] reads a
+//! request's `verb` and `id` as the server would, without parsing the
+//! rest of the line, and [`decode_reply`] decodes a reply line's
+//! envelope.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -521,6 +527,95 @@ pub fn err_line(id: &Json, trace: Option<hmdiv_obs::TraceId>, error: &ServeError
     out
 }
 
+/// Reads the routing facts of a request line as [`parse_request`] would:
+/// the first `verb` member, when it is a string, and the first `id`
+/// member (`null` when there is none). Keys and strings are decoded, and
+/// the first duplicate wins, as with `Json::get`. The walk over the
+/// top-level members stops once it has both, so a sweep's body behind
+/// them is never scanned. On a malformed line it returns what it read
+/// before the fault: a router forwards such a line, and the replica's
+/// parser answers it.
+#[must_use]
+pub fn peek_request(line: &str) -> (Option<Cow<'_, str>>, Json) {
+    let (mut verb, mut id) = (None, None);
+    let _ = json::walk_object(line, |key, value| {
+        match &*key {
+            // A first `verb` that is not a string leaves none.
+            "verb" if verb.is_none() => {
+                verb = Some(match value.peek() {
+                    Some(b'"') => Some(value.str()?),
+                    _ => {
+                        value.skip()?;
+                        None
+                    }
+                });
+            }
+            "id" if id.is_none() => id = Some(value.value()?),
+            _ => value.skip()?,
+        }
+        // With both in hand the walk stops; the rest of the line is opaque.
+        match (&verb, &id) {
+            (Some(_), Some(_)) => Err(Mismatch),
+            _ => Ok(()),
+        }
+    });
+    (verb.flatten(), id.unwrap_or(Json::Null))
+}
+
+/// One reply line decoded by [`decode_reply`].
+#[derive(Debug)]
+pub struct TracedResponse {
+    /// The envelope's `trace_id` member (16 hex digits), verbatim.
+    pub trace_id: Option<String>,
+    /// The `result` member of an `ok` reply; the wire error as
+    /// [`ServeError::Remote`]; or [`ServeError::Parse`] when the line is
+    /// not a reply.
+    pub result: Result<Json, ServeError>,
+}
+
+/// Decodes one reply line, parsing it once.
+#[must_use]
+pub fn decode_reply(line: &str) -> TracedResponse {
+    let reply = match json::parse(line) {
+        Ok(reply) => reply,
+        Err(e) => {
+            return TracedResponse {
+                trace_id: None,
+                result: Err(ServeError::Parse {
+                    detail: format!("bad response line: {e}"),
+                }),
+            }
+        }
+    };
+    let trace_id = reply
+        .get("trace_id")
+        .and_then(Json::as_str)
+        .map(str::to_owned);
+    let malformed = |detail: &str| ServeError::Parse {
+        detail: detail.to_owned(),
+    };
+    let result = match reply.get("ok").and_then(Json::as_bool) {
+        Some(true) => match reply {
+            Json::Obj(members) => members.into_iter().find(|(key, _)| key == "result"),
+            _ => None,
+        }
+        .map(|(_, result)| result)
+        .ok_or_else(|| malformed("ok response without `result`")),
+        Some(false) => match reply.get("error") {
+            Some(error) => {
+                let text = |key| error.get(key).and_then(Json::as_str);
+                Err(ServeError::Remote {
+                    code: text("code").unwrap_or("unknown").to_owned(),
+                    message: text("message").unwrap_or_default().to_owned(),
+                })
+            }
+            None => Err(malformed("error response without `error`")),
+        },
+        None => Err(malformed("response without boolean `ok`")),
+    };
+    TracedResponse { trace_id, result }
+}
+
 /// A required field of the request body.
 pub(crate) fn required<'a>(body: &'a Json, key: &str) -> Result<&'a Json, ServeError> {
     body.get(key).ok_or_else(|| ServeError::BadRequest {
@@ -732,8 +827,10 @@ pub fn parse_scenarios(body: &Json) -> Result<Vec<Scenario>, ServeError> {
     items.iter().map(parse_scenario).collect()
 }
 
-/// A shape the typed scenario decoder does not handle (or a syntax
-/// error): the member is rewound and parsed as a tree instead.
+/// Ends a cursor walk early. For the typed scenario decoder it is a shape
+/// the decoder does not handle (or a syntax error), and the member is
+/// rewound and parsed as a tree instead; [`peek_request`] also ends its
+/// walk with it once it has what it reads.
 struct Mismatch;
 
 impl From<json::JsonError> for Mismatch {
@@ -976,6 +1073,213 @@ mod tests {
             "{\"id\":4,\"trace_id\":\"0000000000000010\",\"ok\":false,\
              \"error\":{\"code\":\"deadline_exceeded\",\
              \"message\":\"deadline expired before evaluation\"}}\n"
+        );
+    }
+
+    #[test]
+    fn replies_decode_to_results_and_wire_errors() {
+        let ok = decode_reply(r#"{"id":1,"ok":true,"result":{"pong":true}}"#)
+            .result
+            .unwrap();
+        assert_eq!(ok.get("pong").and_then(Json::as_bool), Some(true));
+        let err =
+            decode_reply(r#"{"id":2,"ok":false,"error":{"code":"overloaded","message":"x"}}"#)
+                .result
+                .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Remote { ref code, .. } if code == "overloaded"
+        ));
+        assert!(decode_reply("garbage").result.is_err());
+        assert!(decode_reply(r#"{"id":3}"#).result.is_err());
+    }
+
+    #[test]
+    fn reply_trace_ids_decode_when_echoed() {
+        assert_eq!(
+            decode_reply(r#"{"id":1,"trace_id":"00000000000000ff","ok":true,"result":{}}"#)
+                .trace_id
+                .as_deref(),
+            Some("00000000000000ff")
+        );
+        assert_eq!(
+            decode_reply(r#"{"id":1,"ok":true,"result":{}}"#).trace_id,
+            None
+        );
+        assert_eq!(decode_reply("garbage").trace_id, None);
+    }
+
+    /// `peek_request`'s id, parsed from `text`.
+    fn id(text: &str) -> Json {
+        json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn peek_finds_verb_and_id_in_any_member_order() {
+        let (verb, request_id) = peek_request(r#"{"id":7,"verb":"evaluate","model":"m01"}"#);
+        assert_eq!(verb.as_deref(), Some("evaluate"));
+        assert_eq!(request_id, id("7"));
+        let (verb, request_id) = peek_request(r#"{"model":"m01","verb":"ping","id":"abc"}"#);
+        assert_eq!(verb.as_deref(), Some("ping"));
+        assert_eq!(request_id, id(r#""abc""#));
+    }
+
+    #[test]
+    fn peeked_id_may_be_any_json_value() {
+        for text in [r#"[1,{"k":"}"}]"#, r#"{"a":[1,2]}"#, "-12.5e3"] {
+            let line = format!(r#"{{"id":{text},"verb":"x"}}"#);
+            assert_eq!(peek_request(&line).1, id(text), "{line}");
+        }
+        assert_eq!(peek_request(r#"{"id":true}"#).1, id("true"));
+        assert_eq!(peek_request(r#"{"verb":"x"}"#).1, Json::Null);
+    }
+
+    #[test]
+    fn peek_does_not_mistake_nested_verb_like_members_for_the_verb() {
+        let (verb, request_id) =
+            peek_request(r#"{"body":{"verb":"inner","id":99},"verb":"outer","id":1}"#);
+        assert_eq!(verb.as_deref(), Some("outer"));
+        assert_eq!(request_id, id("1"));
+    }
+
+    #[test]
+    fn peek_is_not_derailed_by_strings_with_braces_and_escapes() {
+        let (verb, request_id) = peek_request(r#"{"note":"a \" b } { ] [","verb":"ping","id":3}"#);
+        assert_eq!(verb.as_deref(), Some("ping"));
+        assert_eq!(request_id, id("3"));
+    }
+
+    #[test]
+    fn peek_degrades_to_no_verb_and_null_id_on_malformed_lines() {
+        for line in ["", "not json", "[1,2,3]", r#"{"verb""#, r#"{"verb":}"#, "{"] {
+            let (verb, request_id) = peek_request(line);
+            assert_eq!(verb.as_deref(), None, "{line:?}");
+            assert_eq!(request_id, Json::Null, "{line:?}");
+        }
+        // A truncated object still yields what was read before the
+        // damage.
+        let (verb, _) = peek_request(r#"{"verb":"evaluate","model"#);
+        assert_eq!(verb.as_deref(), Some("evaluate"));
+    }
+
+    #[test]
+    fn peek_keeps_the_first_duplicate_and_decodes_escapes_as_the_parser_does() {
+        // The parser's `Json::get` keeps the first duplicate.
+        let (verb, _) = peek_request(r#"{"verb":"evaluate","verb":"load","id":1}"#);
+        assert_eq!(verb.as_deref(), Some("evaluate"));
+        assert_eq!(peek_request(r#"{"id":1,"id":2,"verb":"ping"}"#).1, id("1"));
+        // Escaped keys and verbs decode; these are broadcast `load`s.
+        let (verb, _) = peek_request(r#"{"ver\u0062":"load","id":1}"#);
+        assert_eq!(verb.as_deref(), Some("load"));
+        let (verb, _) = peek_request(r#"{"verb":"lo\u0061d","id":1}"#);
+        assert_eq!(verb.as_deref(), Some("load"));
+        // A first `verb` that is not a string leaves none, as in the
+        // parser, even when a later duplicate is one.
+        assert_eq!(peek_request(r#"{"verb":5,"verb":"load"}"#).0, None);
+    }
+
+    #[test]
+    fn peek_tolerates_whitespace() {
+        let (verb, request_id) = peek_request("  { \"id\" : 42 , \"verb\" : \"metrics\" }  ");
+        assert_eq!(verb.as_deref(), Some("metrics"));
+        assert_eq!(request_id, id("42"));
+    }
+
+    /// Seed request lines: every verb shape the router distinguishes, ids
+    /// of every JSON type, duplicates, escapes and nested look-alikes.
+    const SEEDS: [&str; 10] = [
+        r#"{"id":1,"verb":"evaluate","model":"m01","profile":{"easy":0.9,"difficult":0.1}}"#,
+        r#"{"verb":"load","id":"a\"b","classes":{"easy":{"p_mf":0.07}}}"#,
+        r#"{"verb":"lo\u0061d","ver\u0062":"ping","id":[1,{"id":2}],"id":3}"#,
+        r#"{"ver\u0062":"metrics","verb":"load","id":-1.5e3}"#,
+        r#" { "id" : null , "verb" : "shutdown" } "#,
+        r#"{"body":{"verb":"inner","id":99},"verb":"outer","id":{"k":"}"}}"#,
+        r#"{"verb":"save","id":true,"trace_id":"00000000000000ff"}"#,
+        r#"{"\u0069d":7,"verb":"\u0070ing"}"#,
+        r#"{"verb":"scenarios","id":2,"scenarios":[[{"op":"improve_machine","class":"x","factor":2}]]}"#,
+        r#"{"id":"\ud83d\ude00","verb":"compare"}"#,
+    ];
+
+    /// Fragments spliced in by the mutator.
+    #[rustfmt::skip]
+    const TOKENS: [&str; 24] = [
+        "\"", "\\", "{", "}", "[", "]", ",", ":", " ", "\r", "0", "-1",
+        "null", "true", "\"verb\"", "\"id\"", "\"load\"", "\"ping\"",
+        "\\u0062", "\\u0069", "\\\"", "\"ver\\u0062\"", "\"lo\\u0061d\"", "{\"verb\":1}",
+    ];
+
+    /// One to three random edits: delete a short range, splice a token,
+    /// overwrite a byte, or copy a slice elsewhere.
+    fn mutate(line: &str, rng: &mut impl rand::Rng) -> Option<String> {
+        let mut bytes = line.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..4_usize) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..4_u32) {
+                0 if at < bytes.len() => {
+                    let end = (at + rng.gen_range(1..4_usize)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                1 => {
+                    let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+                    bytes.splice(at..at, token.bytes());
+                }
+                2 if at < bytes.len() => bytes[at] = rng.gen_range(0x20..0x7f_u8),
+                _ => {
+                    let from = rng.gen_range(0..=bytes.len());
+                    let len = rng.gen_range(0..=16_usize).min(bytes.len() - from);
+                    let copy = bytes[from..from + len].to_vec();
+                    bytes.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8(bytes).ok()
+    }
+
+    #[test]
+    fn peek_agrees_with_the_parser_on_every_line_it_accepts() {
+        const MUTANTS: usize = 100_000;
+        /// Whether the parser accepts `line`, asserting peek agrees if so.
+        fn agrees(line: &str) -> bool {
+            let Ok(parsed) = json::parse(line) else {
+                return false;
+            };
+            let (verb, request_id) = peek_request(line);
+            assert_eq!(
+                verb.as_deref(),
+                parsed.get("verb").and_then(Json::as_str),
+                "{line}"
+            );
+            let parsed_id = parsed.get("id").cloned().unwrap_or(Json::Null);
+            assert_eq!(request_id, parsed_id, "{line}");
+            true
+        }
+        for seed in SEEDS {
+            assert!(agrees(seed), "seeds are valid requests: {seed}");
+        }
+        // Accepted mutants become later parents, so the corpus wanders
+        // several edits from the seeds while staying mostly valid.
+        let mut rng = hmdiv_prob::par::stream_rng(0x9ee6, 14);
+        let mut pool: Vec<String> = SEEDS.iter().map(|s| (*s).to_owned()).collect();
+        let mut accepted = 0;
+        for _ in 0..MUTANTS {
+            let parent = &pool[rng.gen_range(0..pool.len())];
+            let Some(line) = mutate(parent, &mut rng) else {
+                continue;
+            };
+            if !agrees(&line) {
+                continue;
+            }
+            accepted += 1;
+            if pool.len() < 256 {
+                pool.push(line);
+            } else {
+                let slot = rng.gen_range(0..pool.len());
+                pool[slot] = line;
+            }
+        }
+        assert!(
+            accepted >= MUTANTS / 10,
+            "only {accepted} mutants parsed; the corpus drifted off valid lines"
         );
     }
 
